@@ -369,78 +369,6 @@ FastForwardResult measure_fast_forward(std::int64_t d, std::int64_t pd,
   return r;
 }
 
-struct ThreadsResult {
-  std::int64_t d = 0, pd = 0, w = 0, n = 0;
-  std::int64_t threads = 0;              // engine workers on the on side
-  double seconds_per_run_serial = 0.0;   // MachineConfig::threads = 1
-  double seconds_per_run_threaded = 0.0;
-  double best_seconds_per_run_serial = 0.0;
-  double best_seconds_per_run_threaded = 0.0;
-  double speedup = 0.0;                  // best_serial / best_threaded
-  bool identical = false;                // RunReports agree bit-for-bit
-};
-
-/// Intra-run engine parallelism: the paper's d=64 HMM sum with the d
-/// DMMs sharded across `threads` engine workers vs the serial loop, on
-/// the SAME machine (set_engine_threads toggled run-for-run, so both
-/// sides share cache and allocator state).  The threaded engine's
-/// contract is bit-identical RunReports at any thread count — asserted
-/// on the warm-up pair — so the only thing this section measures is
-/// wall time.
-ThreadsResult measure_threads(std::int64_t n, std::int64_t d,
-                              std::int64_t pd, std::int64_t w, Cycle l,
-                              std::int64_t threads, std::int64_t reps) {
-  ThreadsResult r;
-  r.d = d;
-  r.pd = pd;
-  r.w = w;
-  r.n = n;
-  r.threads = threads;
-
-  const auto xs = alg::random_words(n, 1);
-  Machine machine = Machine::hmm(w, l, d, pd, std::max(pd, d), n + d);
-  machine.global_memory().load(0, xs);
-
-  machine.set_engine_threads(1);
-  const RunReport warm_serial = alg::sum_hmm(machine, n).report;
-  machine.set_engine_threads(threads);
-  const RunReport warm_threaded = alg::sum_hmm(machine, n).report;
-  r.identical = warm_serial == warm_threaded;
-  if (!r.identical) {
-    std::fprintf(stderr,
-                 "FATAL: threads=1 and threads=%lld disagree on the "
-                 "RunReport (makespan %lld vs %lld)\n",
-                 static_cast<long long>(threads),
-                 static_cast<long long>(warm_serial.makespan),
-                 static_cast<long long>(warm_threaded.makespan));
-    std::exit(1);
-  }
-
-  double serial = 0.0, threaded = 0.0, best_serial = 0.0, best_threaded = 0.0;
-  for (std::int64_t i = 0; i < reps; ++i) {
-    machine.set_engine_threads(1);
-    const auto t_serial = Clock::now();
-    alg::sum_hmm(machine, n);
-    const double dt_serial = seconds_since(t_serial);
-    serial += dt_serial;
-    if (i == 0 || dt_serial < best_serial) best_serial = dt_serial;
-
-    machine.set_engine_threads(threads);
-    const auto t_threaded = Clock::now();
-    alg::sum_hmm(machine, n);
-    const double dt_threaded = seconds_since(t_threaded);
-    threaded += dt_threaded;
-    if (i == 0 || dt_threaded < best_threaded) best_threaded = dt_threaded;
-  }
-  machine.set_engine_threads(0);
-  r.seconds_per_run_serial = serial / static_cast<double>(reps);
-  r.seconds_per_run_threaded = threaded / static_cast<double>(reps);
-  r.best_seconds_per_run_serial = best_serial;
-  r.best_seconds_per_run_threaded = best_threaded;
-  r.speedup = r.best_seconds_per_run_serial / r.best_seconds_per_run_threaded;
-  return r;
-}
-
 struct SweepResult {
   std::int64_t grid_points = 0;
   double serial_seconds = 0.0;
@@ -654,21 +582,6 @@ int run_bench(int argc, char** argv) {
       static_cast<long long>(ff.n),
       static_cast<long long>(ff.replayed_rounds));
 
-  // The paper's d=64 scenario: 64 DMMs sharded across 4 engine workers
-  // inside ONE run (ROADMAP open item 1).  fast-forward stays on — the
-  // production configuration — so the workers race through verified
-  // replay in parallel and only the serial-order merge is coordinated.
-  const std::int64_t threads_n = smoke ? (1 << 14) : (1 << 17);
-  const ThreadsResult thr =
-      measure_threads(threads_n, 64, 32, 32, 400, 4, smoke ? 3 : reps);
-  std::printf(
-      "threads    : serial %.3f ms/run, %lld-worker %.3f ms/run, speedup "
-      "%.2fx (best-of-reps, d=%lld, n=%lld, reports identical %s)\n",
-      1e3 * thr.seconds_per_run_serial, static_cast<long long>(thr.threads),
-      1e3 * thr.seconds_per_run_threaded, thr.speedup,
-      static_cast<long long>(thr.d), static_cast<long long>(thr.n),
-      thr.identical ? "yes" : "NO");
-
   const std::int64_t grid = smoke ? 8 : 48;
   const std::int64_t n_sweep = smoke ? (1 << 12) : (1 << 15);
   const SweepResult sweep = measure_sweep(grid, n_sweep, jobs);
@@ -753,18 +666,6 @@ int run_bench(int argc, char** argv) {
       "    \"replayed_rounds\": %lld,\n"
       "    \"speedup\": %.6g\n"
       "  },\n"
-      "  \"threads\": {\n"
-      "    \"workload\": \"hmm_sum\",\n"
-      "    \"d\": %lld, \"pd\": %lld, \"w\": %lld, \"n\": %lld, "
-      "\"l\": 400,\n"
-      "    \"engine_threads\": %lld,\n"
-      "    \"seconds_per_run_serial\": %.6g,\n"
-      "    \"seconds_per_run_threaded\": %.6g,\n"
-      "    \"best_seconds_per_run_serial\": %.6g,\n"
-      "    \"best_seconds_per_run_threaded\": %.6g,\n"
-      "    \"speedup\": %.6g,\n"
-      "    \"identical_reports\": %s\n"
-      "  },\n"
       "  \"sweep\": {\n"
       "    \"workload\": \"umm_sum_grid\",\n"
       "    \"grid_points\": %lld,\n"
@@ -813,12 +714,6 @@ int run_bench(int argc, char** argv) {
       ff.seconds_per_run_off, ff.seconds_per_run_on,
       ff.best_seconds_per_run_off, ff.best_seconds_per_run_on,
       static_cast<long long>(ff.replayed_rounds), ff.speedup,
-      static_cast<long long>(thr.d), static_cast<long long>(thr.pd),
-      static_cast<long long>(thr.w), static_cast<long long>(thr.n),
-      static_cast<long long>(thr.threads),
-      thr.seconds_per_run_serial, thr.seconds_per_run_threaded,
-      thr.best_seconds_per_run_serial, thr.best_seconds_per_run_threaded,
-      thr.speedup, thr.identical ? "true" : "false",
       static_cast<long long>(sweep.grid_points), sweep.serial_seconds,
       static_cast<long long>(sweep.parallel_jobs), sweep.parallel_seconds,
       sweep.speedup, sweep.deterministic ? "true" : "false",
@@ -887,27 +782,6 @@ int run_bench(int argc, char** argv) {
                  "FATAL: fast-forward convolution speedup is %.2fx "
                  "(limit %.2fx) — the replay path regressed\n",
                  ff.speedup, ff_limit);
-    return 1;
-  }
-  // Intra-run parallelism guard.  On real multi-core hardware (>= 4
-  // cores) 4 engine workers over 64 DMMs must deliver >= 1.3x on the
-  // headline sum; with 2-3 cores the expectation scales down to rough
-  // parity.  A single-core container cannot speed anything up — the
-  // lockstep merge there is pure context-switch overhead — so its bound
-  // (like the sweep section's honest ~1x, docs/PERF.md) only catches
-  // the threaded path collapsing outright.  Smoke reps are too short
-  // for stable ratios; they get the loosest tier of each bound.
-  double threads_limit;
-  if (hw >= 4) threads_limit = smoke ? 0.50 : 1.30;
-  else if (hw >= 2) threads_limit = smoke ? 0.40 : 0.90;
-  else threads_limit = smoke ? 0.10 : 0.15;
-  if (thr.speedup < threads_limit) {
-    std::fprintf(stderr,
-                 "FATAL: %lld-worker engine speedup is %.2fx on the d=%lld "
-                 "sum (limit %.2fx at %u cores) — intra-run parallelism "
-                 "regressed\n",
-                 static_cast<long long>(thr.threads), thr.speedup,
-                 static_cast<long long>(thr.d), threads_limit, hw);
     return 1;
   }
   // Static-analysis guards: the symbolic verdict must agree with the

@@ -1,11 +1,7 @@
 #include "machine/machine.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "core/error.hpp"
@@ -20,8 +16,6 @@ namespace {
 // owning thread, so no synchronisation is involved.
 thread_local FrameArena* t_default_arena = nullptr;
 thread_local PatternCache* t_default_cache = nullptr;
-// Default for MachineConfig::threads == 0 (set_thread_engine_threads).
-thread_local std::int64_t t_default_threads = 1;
 // Topology overlay consulted by Machine::hmm (set_thread_machine_overlay).
 thread_local const MachineOverlay* t_default_overlay = nullptr;
 }  // namespace
@@ -35,31 +29,11 @@ void Machine::set_thread_pattern_cache(PatternCache* cache) {
 }
 PatternCache* Machine::thread_pattern_cache() { return t_default_cache; }
 
-void Machine::set_thread_engine_threads(std::int64_t threads) {
-  t_default_threads = threads < 1 ? 1 : threads;
-}
-std::int64_t Machine::thread_engine_threads() { return t_default_threads; }
-
 void Machine::set_thread_machine_overlay(const MachineOverlay* overlay) {
   t_default_overlay = overlay;
 }
 const MachineOverlay* Machine::thread_machine_overlay() {
   return t_default_overlay;
-}
-
-Machine::WorkerResources& Machine::worker_resources(std::int64_t index) {
-  HMM_REQUIRE(index >= 0, "worker resource slot must be non-negative");
-  while (worker_resource_count() <= index) {
-    worker_resources_.push_back(std::make_unique<WorkerResources>());
-  }
-  return *worker_resources_[static_cast<std::size_t>(index)];
-}
-
-void Machine::trim_worker_resources(std::int64_t count) {
-  if (count < 0) count = 0;
-  if (worker_resource_count() > count) {
-    worker_resources_.resize(static_cast<std::size_t>(count));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -367,113 +341,29 @@ class Engine {
     }
   };
 
-  /// One globally-coupled round parked by a shard for the coordinator:
-  /// the batch was classified, priced and its exec-unit slot acquired at
-  /// the LOCAL pop (preserving per-DMM issue order), but the UMM pipeline
-  /// injection, the memory service and the value delivery are deferred to
-  /// the coordinator, which replays every shard's parked rounds in serial
-  /// (clock, warp) pop order — so the global pipeline and memory see the
-  /// exact request stream of the serial engine.
-  struct PendingGlobal {
-    WarpId warp = 0;
-    Cycle clock = 0;        ///< local pop key — the merge order
-    Cycle issue = 0;        ///< exec slot acquired at the local pop
-    std::int64_t stages = 0;
-    bool replay = false;    ///< verified fast-forward round (no batch)
-    std::int64_t nreq = 0;  ///< replay: recorded request count
-    WarpBatch batch;        ///< full-simulation rounds: the request copy
-    std::vector<std::int32_t> participants;
-    std::vector<std::int32_t> banks;  ///< replay: rotated traffic banks
-  };
-
-  struct MachineArrival {
-    WarpId warp = 0;
-    Cycle clock = 0;
-  };
-
-  /// Per-worker slice of the engine.  Shard k owns the DMMs with
-  /// dmm % nshards == k (their warps, exec units, shared ports, DMM
-  /// barrier domains and trackers partition along with them), plus every
-  /// piece of mutable scratch a local round touches, and runs its own
-  /// event loop to quiescence between merge points.  A serial run is one
-  /// shard driven by the calling thread through the same code path.
-  struct Shard {
-    std::int64_t index = 0;
-    ReadyQueue queue;
-    WarpBatch batch_scratch;
-    std::vector<std::int32_t> participants_scratch;
-    BatchCostScratch global_scratch;  // global-batch pricing (the global
-                                      // Port's scratch would be shared)
-    PatternCache* cache = nullptr;    // per-worker: PR-6 memoization stays
-                                      // race-free under sharding
-    FrameArena* arena = nullptr;      // per-worker coroutine frames
-    std::vector<std::uint64_t> key_scratch;
-    std::vector<Address> addr_scratch;
-    // Shard-local accounting, merged into report_/machine_domain_ only at
-    // merge points or run end, so workers never touch shared tallies (the
-    // fast-forward counters in particular are per-shard by design: merged
-    // sums are identical at any thread count).
-    Cycle makespan = 0;
-    std::int64_t barrier_releases = 0;
-    FastForwardStats ff;
-    std::int64_t cache_hits0 = 0;
-    std::int64_t cache_misses0 = 0;
-    std::int64_t machine_finishes = 0;  // deferred machine-domain exits
-    std::vector<MachineArrival> machine_arrivals;
-    // Parked global rounds: a stable pool (WarpBatch capacity is reused
-    // across rounds), a free list, and the indices parked since the last
-    // merge for the coordinator to pick up.
-    std::vector<PendingGlobal> pending_pool;
-    std::vector<std::int32_t> pending_free;
-    std::vector<std::int32_t> pending_fresh;
-  };
-
-  /// Coordinator/worker handshake.  Workers only run between the
-  /// coordinator's wake and their own done-signal; the mutex gives
-  /// happens-before in both directions, so shard state never needs
-  /// atomics.
-  struct Crew {
-    std::mutex m;
-    std::condition_variable cv_work;
-    std::condition_variable cv_done;
-    std::vector<std::uint8_t> go;  // slot k-1 wakes worker k
-    std::int64_t running = 0;
-    bool stop = false;
-    std::exception_ptr error;
-  };
-
-  enum class ReplayResult : std::uint8_t { kReplayed, kParked, kBailed };
-
   void launch_threads();
   void emit_trace(const TraceEvent& event);
-  void round(Shard& s, WarpState& w);
-  void dispatch_scan(Shard& s, WarpState& w);
+  void round(WarpState& w);
+  void dispatch_scan(WarpState& w);
   void resume_flagged(WarpState& w);
-  void memory_round(Shard& s, WarpState& w, MemorySpace space);
-  void compute_round(Shard& s, WarpState& w);
-  void barrier_round(Shard& s, WarpState& w, BarrierScope scope);
-  void finish_warp(Shard& s, WarpState& w);
-  void release_if_complete(Shard& s, BarrierDomain& domain);
-  void release(Shard& s, BarrierDomain& domain);
+  void memory_round(WarpState& w, MemorySpace space);
+  void compute_round(WarpState& w);
+  void barrier_round(WarpState& w, BarrierScope scope);
+  void finish_warp(WarpState& w);
+  void release_if_complete(BarrierDomain& domain);
+  void release(BarrierDomain& domain);
   void check_no_deadlock() const;
-
-  // Threaded execution (definitions near run_threaded below).
-  void run_shard(Shard& s);
-  void run_threaded();
-  void worker_main(std::int64_t k);
-  PendingGlobal& acquire_pending(Shard& s);
-  void service_global(Shard& s, PendingGlobal& pg);
 
   // Fast-forward machinery (definitions near try_replay_round below).
   bool observe_fp(WarpTracker& t, std::uint64_t fp);
   void bail_tracker(WarpTracker& t);
-  void advance_record(Shard& s, WarpTracker& t);
-  void record_memory_slot(Shard& s, WarpTracker& t, const WarpState& w,
+  void advance_record(WarpTracker& t);
+  void record_memory_slot(WarpTracker& t, const WarpState& w,
                           MemorySpace space, const WarpBatch& batch,
                           const BatchProfile& profile, std::int64_t stages,
                           bool dmm_pricing);
-  void replay_rounds(Shard& s, WarpState& w, WarpTracker& t);
-  ReplayResult try_replay_round(Shard& s, WarpState& w, WarpTracker& t);
+  void replay_rounds(WarpState& w, WarpTracker& t);
+  bool try_replay_round(WarpState& w, WarpTracker& t);
   static bool drain_resumes(ThreadState* base_ts, const std::int32_t* lanes,
                             std::int64_t k, std::int64_t nl);
 
@@ -481,8 +371,8 @@ class Engine {
 
   /// Extra global-pipeline stages a batch of `requests` words pays for
   /// crossing `dmm`'s interconnect link (0 for local DMMs).  A pure
-  /// function of (dmm, requests), so the replay path and the coordinator
-  /// recompute the identical surcharge the recording path priced.
+  /// function of (dmm, requests), so the replay path recomputes the
+  /// identical surcharge the recording path priced.
   std::int64_t link_extra_stages(DmmId dmm, std::int64_t requests) const {
     if (machine_.config_.links.empty()) return 0;
     const DmmLink& link = machine_.config_.links[static_cast<std::size_t>(dmm)];
@@ -492,8 +382,7 @@ class Engine {
   }
 
   /// Tally one global batch against `dmm`'s link (no-op for local DMMs).
-  /// Call exactly once per GLOBAL pipeline inject — all such sites run
-  /// serially (serial loop or coordinator merge), so plain counters.
+  /// Call exactly once per GLOBAL pipeline inject.
   void note_link_traffic(DmmId dmm, std::int64_t requests) {
     const std::int64_t extra = link_extra_stages(dmm, requests);
     if (extra == 0) return;
@@ -503,10 +392,7 @@ class Engine {
   ThreadState& thread(ThreadId t) {
     return threads_[static_cast<std::size_t>(t)];
   }
-  Shard& shard_for(DmmId dmm) {
-    return shards_[static_cast<std::size_t>(dmm) % shards_.size()];
-  }
-  void requeue(Shard& s, const WarpState& w) { s.queue.push(w.clock, w.id); }
+  void requeue(const WarpState& w) { queue_.push(w.clock, w.id); }
 
   /// This warp's slice of the flat live-lane storage: the lanes (in
   /// ascending order) whose thread has not finished.
@@ -547,28 +433,29 @@ class Engine {
   std::vector<WarpState> warps_;
   std::vector<ExecUnit> exec_;
   std::vector<BarrierDomain> dmm_domains_;
-  BarrierDomain machine_domain_;  // coordinator-owned under sharding
-  // One shard per engine worker (exactly one for a serial run); shard 0
-  // is driven by the calling thread, which doubles as the coordinator.
-  std::vector<Shard> shards_;
-  bool threaded_ = false;  // shards_.size() > 1, cached for the hot path
-  Crew crew_;
+  BarrierDomain machine_domain_;
+  ReadyQueue queue_;
+  // Scratch reused by every memory/compute round: capacity is bounded by
+  // the warp width, so after launch the hot path allocates nothing.
+  WarpBatch batch_scratch_;
+  std::vector<std::int32_t> participants_scratch_;  // lanes, this round
   // Flat per-warp lane lists (one width-sized slice each, see
   // live_lanes()/flagged_lanes()): divergent or mostly-done warps visit
   // only their live lanes instead of scanning the full warp width.
   std::vector<std::int32_t> live_lanes_;
   std::vector<std::int32_t> flagged_lanes_;
   std::size_t width_ = 0;  // topology width, cached for slice math
-  // Round-pattern memoization, sampled once per run: a shard's cache is
+  // Round-pattern memoization state, sampled once per run: cache_ is
   // null when fast-forward is off; replay additionally requires that no
   // observer is attached (the global fallback of the observer contract —
   // observers see every event of a fully simulated run).
+  PatternCache* cache_ = nullptr;
   bool replay_enabled_ = false;
-  std::vector<WarpTracker> trackers_;  // one per warp
-  // Interconnect tallies (RunReport::link).  Bumped only at GLOBAL
-  // pipeline inject sites, all of which run in serial contexts — the
-  // serial loop itself, or the coordinator's service_global merge — so
-  // plain members need no per-shard split.
+  std::vector<std::uint64_t> key_scratch_;  // canonical key, reused
+  std::vector<Address> addr_scratch_;       // distinct addrs at record
+  std::vector<WarpTracker> trackers_;       // one per warp
+  // Interconnect tallies (RunReport::link), bumped at the GLOBAL pipeline
+  // inject sites.
   std::int64_t link_remote_batches_ = 0;
   std::int64_t link_stages_ = 0;
   RunReport report_;
@@ -679,11 +566,9 @@ void Engine::launch_threads() {
   machine_domain_.active = topo.total_warps();
   machine_domain_.scope = BarrierScope::kMachine;
 
-  for (Shard& s : shards_) {
-    s.queue.reserve(static_cast<std::size_t>(topo.total_warps()));
-    s.batch_scratch.reserve(static_cast<std::size_t>(topo.width()));
-    s.participants_scratch.reserve(static_cast<std::size_t>(topo.width()));
-  }
+  queue_.reserve(static_cast<std::size_t>(topo.total_warps()));
+  batch_scratch_.reserve(static_cast<std::size_t>(topo.width()));
+  participants_scratch_.reserve(static_cast<std::size_t>(topo.width()));
   if (replay_enabled_) {
     trackers_.resize(static_cast<std::size_t>(topo.total_warps()));
   }
@@ -693,7 +578,7 @@ void Engine::launch_threads() {
     report_.trace.reserve(static_cast<std::size_t>(topo.total_warps()) * 8);
   }
 
-  for (const WarpState& w : warps_) requeue(shard_for(w.dmm), w);
+  for (const WarpState& w : warps_) requeue(w);
 }
 
 RunReport Engine::run() {
@@ -712,22 +597,6 @@ RunReport Engine::run() {
       machine_.observer_ != nullptr && machine_.observer_->wants_trace_events();
   trace_ = machine_.config_.record_trace || observer_traces_;
 
-  // Resolve the engine worker count (MachineConfig::threads, 0 = the
-  // calling thread's default): clamped to the number of DMMs — shards
-  // partition DMMs, so extra workers would idle — and to 1 whenever an
-  // observer is attached or a trace is recorded, because the serial-order
-  // event stream is only produced by the serial loop (same contract as
-  // fast-forward replay disabling under observers).
-  std::int64_t nshards = machine_.config_.threads;
-  if (nshards == 0) nshards = Machine::thread_engine_threads();
-  if (nshards < 1) nshards = 1;
-  nshards = std::min(nshards, machine_.num_dmms());
-  if (machine_.observer_ != nullptr || trace_) nshards = 1;
-  threaded_ = nshards > 1;
-  // Re-running with fewer threads must not keep stale worker arenas (and
-  // their chunks) alive for workers that no longer exist.
-  machine_.trim_worker_resources(nshards - 1);
-
   // Round-pattern memoization (mm/pattern_cache.hpp).  The cache is pure
   // memoization of exact profiles, so it stays on even under observation;
   // the REPLAY shortcut falls back to full simulation whenever an
@@ -735,14 +604,16 @@ RunReport Engine::run() {
   // record_trace alone does not disable replay: replayed rounds
   // synthesize their TraceEvents exactly (same fields the slow path
   // emits, from the same inject()/acquire() calls).
-  PatternCache* cache0 = nullptr;
+  cache_ = nullptr;
   if (machine_.config_.fast_forward) {
-    cache0 = machine_.external_cache_ != nullptr ? machine_.external_cache_
+    cache_ = machine_.external_cache_ != nullptr ? machine_.external_cache_
              : Machine::thread_pattern_cache() != nullptr
                  ? Machine::thread_pattern_cache()
                  : &machine_.cache_;
   }
-  replay_enabled_ = cache0 != nullptr && machine_.observer_ == nullptr;
+  replay_enabled_ = cache_ != nullptr && machine_.observer_ == nullptr;
+  const std::int64_t cache_hits0 = cache_ != nullptr ? cache_->hits() : 0;
+  const std::int64_t cache_misses0 = cache_ != nullptr ? cache_->misses() : 0;
 
   // Activate the coroutine frame arena for the WHOLE run: SimTask frames
   // are created at launch, but SubTask frames are created whenever a
@@ -751,9 +622,6 @@ RunReport Engine::run() {
   // the Engine, and the previous run's engine is long gone.  With
   // use_frame_arena off the scope still opens (with nullptr), shielding
   // this run from any arena an outer caller may have activated.
-  // Workers draw their arena and cache from the machine's per-worker
-  // registry (slot k-1 serves worker k); worker 0 is the calling thread
-  // and keeps the machine's own resolution, so serial runs are untouched.
   FrameArena* arena = nullptr;
   if (machine_.config_.use_frame_arena) {
     arena = machine_.external_arena_ != nullptr ? machine_.external_arena_
@@ -764,42 +632,21 @@ RunReport Engine::run() {
   }
   const FrameArena::Scope arena_scope(arena);
 
-  shards_.resize(static_cast<std::size_t>(nshards));
-  for (std::int64_t k = 0; k < nshards; ++k) {
-    Shard& s = shards_[static_cast<std::size_t>(k)];
-    s.index = k;
-    if (k == 0) {
-      s.cache = cache0;
-      s.arena = arena;  // scope already active on the calling thread
-    } else {
-      Machine::WorkerResources& res = machine_.worker_resources(k - 1);
-      s.cache = cache0 != nullptr ? &res.cache : nullptr;
-      if (machine_.config_.use_frame_arena) {
-        s.arena = &res.arena;
-        s.arena->reset();  // pre-spawn: no frames live, no thread yet
-      }
-    }
-    s.cache_hits0 = s.cache != nullptr ? s.cache->hits() : 0;
-    s.cache_misses0 = s.cache != nullptr ? s.cache->misses() : 0;
-  }
-
   launch_threads();
   report_.threads = machine_.num_threads();
   report_.warps = machine_.topology().total_warps();
   if (machine_.observer_) machine_.observer_->on_run_begin(machine_);
 
-  if (!threaded_) {
-    run_shard(shards_.front());
-  } else {
-    run_threaded();
+  while (!queue_.empty()) {
+    const auto [t, wid] = queue_.pop();
+    round(warps_[static_cast<std::size_t>(wid)]);
   }
 
-  // No-progress watchdog: every shard's ready queue drained (zero warps
-  // resumable, zero requests in flight, nothing parked for the global
-  // pipeline), so any unfinished warp is parked at a barrier that can
-  // never release.  Abort with a diagnostic listing the blocked warps and
-  // every barrier domain's arrival state instead of returning a report
-  // that silently dropped work.
+  // No-progress watchdog: the ready queue drained (zero warps resumable,
+  // zero requests in flight), so any unfinished warp is parked at a
+  // barrier that can never release.  Abort with a diagnostic listing the
+  // blocked warps and every barrier domain's arrival state instead of
+  // returning a report that silently dropped work.
   check_no_deadlock();
 
   report_.shared_pipelines.reserve(machine_.shared_.size());
@@ -813,23 +660,13 @@ RunReport Engine::run() {
   for (const ExecUnit& e : exec_) {
     report_.exec.push_back(ExecStats{e.slots, e.next_free});
   }
-  // Merge the shard-local tallies.  The sums (and the makespan max) are
-  // independent of the shard topology: every count below is a property of
-  // the serial event stream the shards jointly reproduce — except the
-  // cache hit/miss SPLIT, which depends on which worker's cache priced a
-  // round (hits + misses stays invariant; RunReport::operator== excludes
-  // FastForwardStats for exactly this class of reason).
-  for (const Shard& s : shards_) {
-    report_.makespan = std::max(report_.makespan, s.makespan);
-    report_.barrier_releases += s.barrier_releases;
-    report_.fast_forward.replayed_rounds += s.ff.replayed_rounds;
-    report_.fast_forward.patterns += s.ff.patterns;
-    report_.fast_forward.bailouts += s.ff.bailouts;
-    if (s.cache != nullptr) {
-      // This run's share of the (possibly long-lived, cross-run) caches.
-      report_.fast_forward.cache_hits += s.cache->hits() - s.cache_hits0;
-      report_.fast_forward.cache_misses += s.cache->misses() - s.cache_misses0;
-    }
+  if (cache_ != nullptr) {
+    // This run's share of the (possibly long-lived, cross-run) cache.  The
+    // hit/miss split depends on how warm that cache was — SweepRunner
+    // workers carry theirs across grid points — which is why
+    // RunReport::operator== excludes FastForwardStats.
+    report_.fast_forward.cache_hits = cache_->hits() - cache_hits0;
+    report_.fast_forward.cache_misses = cache_->misses() - cache_misses0;
   }
   report_.link.remote_batches = link_remote_batches_;
   report_.link.stages = link_stages_;
@@ -842,11 +679,6 @@ void Engine::check_no_deadlock() const {
   for (const WarpState& w : warps_) blocked += w.finished ? 0 : 1;
   if (blocked == 0) return;
 
-  // The verdict is rendered only AFTER the coordinator has aggregated
-  // every shard: a blocked warp list computed from one worker's view
-  // would indict idle workers whose DMMs all finished.  Threaded runs
-  // name the owning engine worker per blocked warp; the serial format is
-  // unchanged.
   std::string msg = "deadlock: no warp is resumable and no request is in "
                     "flight, but " + std::to_string(blocked) +
                     " warp(s) never finished (mismatched barrier calls or "
@@ -855,12 +687,7 @@ void Engine::check_no_deadlock() const {
     if (w.finished) continue;
     msg += "\n    warp " + std::to_string(w.id) + " (dmm " +
            std::to_string(w.dmm) + ", " + std::to_string(w.live) +
-           " live lane(s)";
-    if (threaded_) {
-      msg += ", engine worker " +
-             std::to_string(static_cast<std::size_t>(w.dmm) % shards_.size());
-    }
-    msg += ") ";
+           " live lane(s)) ";
     if (w.waiting) {
       msg += w.uniform_scope == BarrierScope::kMachine
                  ? "parked at a machine-scope barrier"
@@ -986,12 +813,12 @@ void Engine::resume_flagged(WarpState& w) {
   }
 }
 
-void Engine::round(Shard& s, WarpState& w) {
+void Engine::round(WarpState& w) {
   if (replay_enabled_) {
     WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
     if (t.mode == WarpTracker::Mode::kReplay) {
       if (w.flagged == w.live && w.live > 0) {
-        replay_rounds(s, w, t);
+        replay_rounds(w, t);
         return;
       }
       // A partial resume set can't match a full-participation slot; this
@@ -1002,7 +829,7 @@ void Engine::round(Shard& s, WarpState& w) {
 
   resume_flagged(w);
   if (w.live == 0) {
-    finish_warp(s, w);
+    finish_warp(w);
     return;
   }
 
@@ -1013,23 +840,23 @@ void Engine::round(Shard& s, WarpState& w) {
   // raises the diagnostic.
   switch (w.uniform) {
     case UniformClass::kMemory:
-      memory_round(s, w, w.uniform_space);
+      memory_round(w, w.uniform_space);
       return;
     case UniformClass::kCompute:
-      compute_round(s, w);
+      compute_round(w);
       return;
     case UniformClass::kBarrier:
-      barrier_round(s, w, w.uniform_scope);
+      barrier_round(w, w.uniform_scope);
       return;
     case UniformClass::kWarpSync:
       // Every live lane reached the warp sync: reconverge for free.
       flag_all_live(w);
-      requeue(s, w);
+      requeue(w);
       if (replay_enabled_) {
         WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
         if (observe_fp(t, kWarpSyncFp)) {
           t.slots[static_cast<std::size_t>(t.recorded)] = PatternSlot{};
-          advance_record(s, t);
+          advance_record(t);
         }
       }
       return;
@@ -1040,10 +867,10 @@ void Engine::round(Shard& s, WarpState& w) {
   // A divergent (or unclassifiable) round: whatever periodicity the
   // tracker was chasing is over.
   if (replay_enabled_) trackers_[static_cast<std::size_t>(w.id)].reset();
-  dispatch_scan(s, w);
+  dispatch_scan(w);
 }
 
-void Engine::dispatch_scan(Shard& s, WarpState& w) {
+void Engine::dispatch_scan(WarpState& w) {
   // Classify the pending ops of live threads; service exactly one kind per
   // round, by fixed priority: shared memory, global memory, compute,
   // barrier.  (Uniform SIMD kernels only ever present one kind at a time;
@@ -1084,27 +911,27 @@ void Engine::dispatch_scan(Shard& s, WarpState& w) {
   }
 
   if (has_shared) {
-    memory_round(s, w, MemorySpace::kShared);
+    memory_round(w, MemorySpace::kShared);
   } else if (has_global) {
-    memory_round(s, w, MemorySpace::kGlobal);
+    memory_round(w, MemorySpace::kGlobal);
   } else if (has_compute) {
-    compute_round(s, w);
+    compute_round(w);
   } else if (warp_syncs == w.live) {
     // Every live lane reached the warp sync: reconverge for free.
     flag_all_live(w);
-    requeue(s, w);
+    requeue(w);
   } else {
     HMM_REQUIRE(!has_barrier || warp_syncs == 0,
                 "threads of one warp are split between barrier() and "
                 "warp_sync() — they can never reconverge");
     HMM_ASSERT(has_barrier, "warp round with no classified operation");
-    barrier_round(s, w, scope);
+    barrier_round(w, scope);
   }
 }
 
-void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
-  WarpBatch& batch = s.batch_scratch;
-  std::vector<std::int32_t>& participants = s.participants_scratch;
+void Engine::memory_round(WarpState& w, MemorySpace space) {
+  WarpBatch& batch = batch_scratch_;
+  std::vector<std::int32_t>& participants = participants_scratch_;
   batch.clear();
   participants.clear();
   const std::int32_t* live = live_lanes(w);
@@ -1132,30 +959,25 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
   // Price the batch: pattern-cache hit (exact, full-key compare) or the
   // stamped pass as the miss path.  Observers receive the profile either
   // way — cached profiles are byte-identical to freshly priced ones.
-  // Shared batches use the DMM-owned Port scratch; global batches use the
-  // shard's own scratch, since the global Port's tables would be shared
-  // across workers.  Scratch never affects results.
-  BatchCostScratch& scratch =
-      space == MemorySpace::kShared ? port.cost_scratch : s.global_scratch;
   BatchProfile profile;
   std::uint64_t shape_fp = 0;
-  if (s.cache != nullptr) {
+  if (cache_ != nullptr) {
     const PatternKeyInfo key =
-        build_pattern_key(port.memory.geometry(), batch, s.key_scratch);
+        build_pattern_key(port.memory.geometry(), batch, key_scratch_);
     shape_fp = key.shape_fp;
-    if (!s.cache->find(key.cache_fp, s.key_scratch, profile)) {
-      profile = profile_batch(port.memory.geometry(), batch, scratch);
-      s.cache->insert(key.cache_fp, s.key_scratch, profile);
+    if (!cache_->find(key.cache_fp, key_scratch_, profile)) {
+      profile = profile_batch(port.memory.geometry(), batch, port.cost_scratch);
+      cache_->insert(key.cache_fp, key_scratch_, profile);
     }
   } else {
-    profile = profile_batch(port.memory.geometry(), batch, scratch);
+    profile = profile_batch(port.memory.geometry(), batch, port.cost_scratch);
   }
   std::int64_t stages =
       port.dmm_pricing ? profile.dmm_stages : profile.umm_stages;
   // Cross-HMM global traffic pays its interconnect as extra stages,
-  // folded in HERE — the one place stages are computed — so the parked
-  // round (pg.stages), the recorded pattern (record_memory_slot) and the
-  // replay inject all inherit the surcharge unchanged.
+  // folded in HERE — the one place stages are computed — so the recorded
+  // pattern (record_memory_slot) and the replay inject inherit the
+  // surcharge unchanged.
   if (space == MemorySpace::kGlobal) {
     stages +=
         link_extra_stages(w.dmm, static_cast<std::int64_t>(batch.size()));
@@ -1163,33 +985,8 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
 
   // Issuing the access is one warp instruction on this DMM's SIMD engine;
   // the pipeline then carries the batch independently (latency hiding).
-  // The exec slot is acquired at the LOCAL pop for global rounds too —
-  // exec units are per-DMM, so local pop order IS serial issue order.
   const Cycle issue =
       exec_[static_cast<std::size_t>(w.dmm)].acquire(w.clock, 1);
-
-  if (threaded_ && space == MemorySpace::kGlobal) {
-    // Park for the coordinator: the UMM pipeline injection, the memory
-    // service and the value delivery happen at this round's serial
-    // (clock, warp) position in the merge loop.  Tracker recording still
-    // happens here — the warp's round stream position is unchanged.
-    PendingGlobal& pg = acquire_pending(s);
-    pg.warp = w.id;
-    pg.clock = w.clock;
-    pg.issue = issue;
-    pg.stages = stages;
-    pg.replay = false;
-    pg.batch.assign(batch.begin(), batch.end());
-    pg.participants.assign(participants.begin(), participants.end());
-    if (replay_enabled_ && w.uniform == UniformClass::kMemory) {
-      WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
-      if (observe_fp(t, fp_memory_round(space, shape_fp))) {
-        record_memory_slot(s, t, w, space, batch, profile, stages,
-                           port.dmm_pricing);
-      }
-    }
-    return;
-  }
 
   if (space == MemorySpace::kGlobal) {
     note_link_traffic(w.dmm, static_cast<std::int64_t>(batch.size()));
@@ -1218,7 +1015,7 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
     flag_lane(w, participants[i]);
   }
   w.clock = slot.data_ready;
-  requeue(s, w);
+  requeue(w);
 
   if (trace_) {
     emit_trace(TraceEvent{
@@ -1240,16 +1037,16 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
   if (replay_enabled_ && w.uniform == UniformClass::kMemory) {
     WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
     if (observe_fp(t, fp_memory_round(space, shape_fp))) {
-      record_memory_slot(s, t, w, space, batch, profile, stages,
+      record_memory_slot(t, w, space, batch, profile, stages,
                          port.dmm_pricing);
     }
   }
 }
 
-void Engine::compute_round(Shard& s, WarpState& w) {
+void Engine::compute_round(WarpState& w) {
   Cycle cycles = 0;
   const bool uniform = w.uniform == UniformClass::kCompute;
-  std::vector<std::int32_t>& participants = s.participants_scratch;
+  std::vector<std::int32_t>& participants = participants_scratch_;
   participants.clear();
   if (uniform) {
     // resume_flagged classified the warp uniform-compute and collected the
@@ -1274,7 +1071,7 @@ void Engine::compute_round(Shard& s, WarpState& w) {
   } else {
     for (std::int32_t lane : participants) flag_lane(w, lane);
   }
-  requeue(s, w);
+  requeue(w);
 
   if (trace_) {
     emit_trace(TraceEvent{
@@ -1294,67 +1091,49 @@ void Engine::compute_round(Shard& s, WarpState& w) {
       slot = PatternSlot{};
       slot.kind = PatternSlot::Kind::kCompute;
       slot.cycles = cycles;
-      advance_record(s, t);
+      advance_record(t);
     }
   }
 }
 
-void Engine::barrier_round(Shard& s, WarpState& w, BarrierScope scope) {
+void Engine::barrier_round(WarpState& w, BarrierScope scope) {
   // A barrier ends any periodic phase: release times couple this warp to
   // the rest of its domain, which replay must never shortcut.
   if (replay_enabled_) trackers_[static_cast<std::size_t>(w.id)].reset();
-  if (threaded_ && scope == BarrierScope::kMachine) {
-    // The machine domain is coordinator-owned: park the warp and record
-    // the arrival for the next FULL quiescence.  Deferring is exact — a
-    // machine release needs every active warp to arrive, which is
-    // impossible while any warp is runnable or parked on the global
-    // pipeline, so the release decision only ever falls at a point where
-    // all shards are drained and the pending set is empty.
-    w.waiting = true;
-    w.uniform_scope = BarrierScope::kMachine;  // for the watchdog verdict
-    s.machine_arrivals.push_back(MachineArrival{w.id, w.clock});
-    return;
-  }
   BarrierDomain& domain = scope == BarrierScope::kDmm
                               ? dmm_domains_[static_cast<std::size_t>(w.dmm)]
                               : machine_domain_;
   w.waiting = true;  // parked: not requeued until released
   domain.arrived.push_back(w.id);
   domain.max_arrival = std::max(domain.max_arrival, w.clock);
-  release_if_complete(s, domain);
+  release_if_complete(domain);
 }
 
-void Engine::finish_warp(Shard& s, WarpState& w) {
+void Engine::finish_warp(WarpState& w) {
   HMM_ASSERT(!w.finished, "warp finished twice");
   w.finished = true;
-  s.makespan = std::max(s.makespan, w.clock);
+  report_.makespan = std::max(report_.makespan, w.clock);
   if (machine_.observer_) {
     machine_.observer_->on_warp_finish(w.id, w.dmm, w.clock);
   }
 
   BarrierDomain& dd = dmm_domains_[static_cast<std::size_t>(w.dmm)];
   --dd.active;
-  release_if_complete(s, dd);
-  if (threaded_) {
-    // Coordinator-owned: defer the active-count decrement to the next
-    // full quiescence (see barrier_round for why that is exact).
-    ++s.machine_finishes;
-    return;
-  }
+  release_if_complete(dd);
   --machine_domain_.active;
-  release_if_complete(s, machine_domain_);
+  release_if_complete(machine_domain_);
 }
 
-void Engine::release_if_complete(Shard& s, BarrierDomain& domain) {
+void Engine::release_if_complete(BarrierDomain& domain) {
   if (!domain.arrived.empty() &&
       static_cast<std::int64_t>(domain.arrived.size()) == domain.active) {
-    release(s, domain);
+    release(domain);
   }
 }
 
-void Engine::release(Shard& s, BarrierDomain& domain) {
+void Engine::release(BarrierDomain& domain) {
   const Cycle t = domain.max_arrival;
-  ++s.barrier_releases;
+  ++report_.barrier_releases;
   if (machine_.observer_) {
     // Parked warps still carry their arrival time in `clock`, so the
     // domain's aggregate barrier wait is free to compute here.
@@ -1379,9 +1158,7 @@ void Engine::release(Shard& s, BarrierDomain& domain) {
     // only runs once the priority classification has exhausted every
     // other operation kind, so the whole live list gets flagged.
     flag_all_live(w);
-    // DMM domains release into the calling shard's own queue; a machine
-    // release (coordinator-only) fans warps back out to their shards.
-    requeue(shard_for(w.dmm), w);
+    requeue(w);
     if (trace_) {
       emit_trace(TraceEvent{
           .kind = TraceEvent::Kind::kBarrier,
@@ -1457,15 +1234,15 @@ void Engine::bail_tracker(WarpTracker& t) {
   if (++t.bailouts >= kMaxBailouts) t.mode = WarpTracker::Mode::kOff;
 }
 
-void Engine::advance_record(Shard& s, WarpTracker& t) {
+void Engine::advance_record(WarpTracker& t) {
   if (++t.recorded == t.period) {
     t.mode = WarpTracker::Mode::kReplay;
     t.pos = 0;
-    ++s.ff.patterns;
+    ++report_.fast_forward.patterns;
   }
 }
 
-void Engine::record_memory_slot(Shard& sh, WarpTracker& t, const WarpState& w,
+void Engine::record_memory_slot(WarpTracker& t, const WarpState& w,
                                 MemorySpace space, const WarpBatch& batch,
                                 const BatchProfile& profile,
                                 std::int64_t stages, bool dmm_pricing) {
@@ -1515,18 +1292,17 @@ void Engine::record_memory_slot(Shard& sh, WarpTracker& t, const WarpState& w,
   // Banks of the distinct addresses — exactly what service() charges to
   // bank_traffic.  Replay rotates these in place when it accepts a
   // non-multiple-of-w shift (bank_of(a+c) = (bank_of(a)+c) mod w).
-  sh.addr_scratch.clear();
-  for (const Request& r : batch) sh.addr_scratch.push_back(r.address);
-  std::sort(sh.addr_scratch.begin(), sh.addr_scratch.end());
-  sh.addr_scratch.erase(
-      std::unique(sh.addr_scratch.begin(), sh.addr_scratch.end()),
-      sh.addr_scratch.end());
+  addr_scratch_.clear();
+  for (const Request& r : batch) addr_scratch_.push_back(r.address);
+  std::sort(addr_scratch_.begin(), addr_scratch_.end());
+  addr_scratch_.erase(std::unique(addr_scratch_.begin(), addr_scratch_.end()),
+                      addr_scratch_.end());
   const std::int64_t wdt = static_cast<std::int64_t>(width_);
   s.banks.clear();
-  for (const Address a : sh.addr_scratch) {
+  for (const Address a : addr_scratch_) {
     s.banks.push_back(static_cast<std::int32_t>(a % wdt));
   }
-  advance_record(sh, t);
+  advance_record(t);
 }
 
 /// Service consecutive rounds from the recorded pattern in ONE queue pop
@@ -1543,7 +1319,7 @@ void Engine::record_memory_slot(Shard& sh, WarpTracker& t, const WarpState& w,
 /// queue pop anyway (horizon regime).  Otherwise the round is requeued
 /// and the block ends after a single replayed round, exactly like the
 /// ordinary event loop.
-void Engine::replay_rounds(Shard& s, WarpState& w, WarpTracker& t) {
+void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
   w.flagged = 0;
   // Clear the resume marks once for the whole block instead of once per
   // lane per round: while the warp is in replay its lanes are only ever
@@ -1560,34 +1336,23 @@ void Engine::replay_rounds(Shard& s, WarpState& w, WarpTracker& t) {
   }
   const bool exclusive_fuse = w.exclusive && t.local_only && !trace_;
   for (;;) {
-    switch (try_replay_round(s, w, t)) {
-      case ReplayResult::kBailed:
-        // Lanes are resumed with fresh ops posted; classify them the
-        // ordinary way (the scan raises the usual diagnostics too).
-        if (w.live == 0) {
-          finish_warp(s, w);
-          return;
-        }
-        dispatch_scan(s, w);
+    if (!try_replay_round(w, t)) {
+      // Lanes are resumed with fresh ops posted; classify them the
+      // ordinary way (the scan raises the usual diagnostics too).
+      if (w.live == 0) {
+        finish_warp(w);
         return;
-      case ReplayResult::kParked:
-        // A verified global round was handed to the coordinator; the
-        // block ends here and the warp resumes (still in replay) when
-        // the merge loop delivers its values and requeues it.
-        return;
-      case ReplayResult::kReplayed:
-        break;
+      }
+      dispatch_scan(w);
+      return;
     }
     if (exclusive_fuse) continue;
-    if (!s.queue.empty()) {
-      const auto [clk, wid] = s.queue.peek();
+    if (!queue_.empty()) {
+      const auto [clk, wid] = queue_.peek();
       if (w.clock > clk || (w.clock == clk && w.id > wid)) {
-        // Another warp's round is due first: back into the queue.  The
-        // shard-local horizon is conservative vs the serial one: fused
-        // rounds here are DMM-local (shared memory, compute, warp sync),
-        // which commute with every other shard's rounds.
+        // Another warp's round is due first: back into the queue.
         flag_all_live(w);
-        requeue(s, w);
+        requeue(w);
         return;
       }
     }
@@ -1625,8 +1390,7 @@ bool Engine::drain_resumes(ThreadState* base_ts, const std::int32_t* lanes,
   return died;
 }
 
-Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
-                                              WarpTracker& t) {
+bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
   PatternSlot& s = t.slots[static_cast<std::size_t>(t.pos)];
   const std::int32_t* lanes = live_lanes(w);
   const std::int64_t nl = w.live;
@@ -1672,13 +1436,7 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
       const Address abase = s.base + shift;
       const MemorySpace space = s.space;
       const Address* const deltas = s.deltas.data();
-      // A global slot under sharding is verified here (verification is
-      // content-independent) but serviced by the coordinator at its
-      // serial merge position — so no value may be delivered and no cell
-      // touched locally; the verify-every-lane-first loop below already
-      // has exactly that shape.
-      const bool defer = threaded_ && space == MemorySpace::kGlobal;
-      if (s.all_read && !defer) {
+      if (s.all_read) {
         // Fused resume + verify + service.  Delivering to early lanes
         // before a later lane fails verification is harmless for reads:
         // the bailed round is re-serviced in full by the slow path,
@@ -1730,7 +1488,7 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
             break;
           }
         }
-        if (!died && fail < 0 && !defer) {
+        if (!died && fail < 0) {
           // All verified; the batch is duplicate-free, so per-lane
           // service order is irrelevant (writes land, reads see the
           // pre-batch value of THEIR address — no aliasing possible).
@@ -1749,10 +1507,7 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
 
       if (died || fail >= 0) break;
 
-      // Priced effects — the exact calls the slow path would make.  The
-      // exec slot is always acquired here, at the local pop (per-DMM
-      // issue order); the slot's base and banks advance here too, so the
-      // tracker is ready for the next period position either way.
+      // Priced effects — the exact calls the slow path would make.
       const Cycle issue =
           exec_[static_cast<std::size_t>(w.dmm)].acquire(w.clock, 1);
       const std::int32_t rot =
@@ -1764,24 +1519,6 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
         }
       }
       s.base += shift;
-      if (defer) {
-        // Hand the verified round to the coordinator: the recorded
-        // pricing is injected, bank traffic charged and values delivered
-        // (from the lanes' still-pending, verified ops) at the serial
-        // merge position.
-        PendingGlobal& pg = acquire_pending(sh);
-        pg.warp = w.id;
-        pg.clock = w.clock;
-        pg.issue = issue;
-        pg.stages = s.stages;
-        pg.replay = true;
-        pg.nreq = s.nreq;
-        pg.banks.assign(s.banks.begin(), s.banks.end());
-        t.pos = t.pos + 1 == t.period ? 0 : t.pos + 1;
-        if (t.pos == 0) t.bailouts = 0;
-        ++sh.ff.replayed_rounds;
-        return ReplayResult::kParked;
-      }
       if (s.space == MemorySpace::kGlobal) note_link_traffic(w.dmm, s.nreq);
       const PipelineSlot ps = port.pipeline.inject(issue, s.stages, s.nreq);
       for (const std::int32_t b : s.banks) mem.add_bank_traffic(b, 1);
@@ -1877,9 +1614,9 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
   }
   if (died || fail >= 0) {
     bail_tracker(t);
-    ++sh.ff.bailouts;
+    ++report_.fast_forward.bailouts;
     w.uniform = UniformClass::kMixed;  // force the scan to classify
-    return ReplayResult::kBailed;
+    return false;
   }
 
   t.pos = t.pos + 1 == t.period ? 0 : t.pos + 1;
@@ -1887,250 +1624,8 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
   // and re-forms periodically (convolution's once-per-output write) must
   // not exhaust it and switch the tracker off.
   if (t.pos == 0) t.bailouts = 0;
-  ++sh.ff.replayed_rounds;
-  return ReplayResult::kReplayed;
-}
-
-// ---------------------------------------------------------------------------
-// Intra-run parallelism: shard event loops + deterministic merge
-// ---------------------------------------------------------------------------
-//
-// Correctness sketch (see docs/PERF.md "Intra-run parallelism").  Every
-// structure a DMM-local round touches — warp/lane state, the DMM's exec
-// unit, shared port and barrier domain, the warp's tracker — is owned by
-// exactly one shard, and DMM-local rounds of different shards commute.
-// The only coupling is the global Port (pipeline order + memory
-// contents), the machine barrier domain, and machine-domain finishes.
-// Workers therefore run their shards to quiescence, parking every
-// globally-coupled round; the coordinator services parked rounds in
-// serial (clock, warp) pop order, under the rule that an item may only be
-// serviced while it precedes the minimum key of every non-empty shard
-// queue — any future item a shard can produce is causally after its
-// current queue minimum, so the serviced sequence is exactly the serial
-// engine's.  Machine releases and the deadlock verdict are decided only
-// at FULL quiescence with an empty pending set, where they are forced
-// (a machine release needs every active warp arrived, impossible while
-// any warp is runnable or parked on the global pipeline).
-
-void Engine::run_shard(Shard& s) {
-  while (!s.queue.empty()) {
-    const auto [t, wid] = s.queue.pop();
-    round(s, warps_[static_cast<std::size_t>(wid)]);
-  }
-}
-
-Engine::PendingGlobal& Engine::acquire_pending(Shard& s) {
-  std::int32_t slot;
-  if (!s.pending_free.empty()) {
-    slot = s.pending_free.back();
-    s.pending_free.pop_back();
-  } else {
-    slot = static_cast<std::int32_t>(s.pending_pool.size());
-    s.pending_pool.emplace_back();
-  }
-  s.pending_fresh.push_back(slot);
-  return s.pending_pool[static_cast<std::size_t>(slot)];
-}
-
-/// The serial tail of a parked global round, executed at its merge
-/// position: inject the priced batch into the UMM pipeline, service the
-/// memory (or apply the verified replay effects), deliver values, and
-/// requeue the warp at data_ready in its shard.
-void Engine::service_global(Shard& s, PendingGlobal& pg) {
-  WarpState& w = warps_[static_cast<std::size_t>(pg.warp)];
-  Machine::Port& port = *machine_.global_;
-  note_link_traffic(w.dmm, pg.replay
-                               ? pg.nreq
-                               : static_cast<std::int64_t>(pg.batch.size()));
-  if (!pg.replay) {
-    const PipelineSlot slot = port.pipeline.inject(
-        pg.issue, pg.stages, static_cast<std::int64_t>(pg.batch.size()));
-    const ServicedBatch served = port.memory.service(pg.batch);
-    for (std::size_t i = 0; i < pg.participants.size(); ++i) {
-      thread(w.first + pg.participants[i]).ctx.delivered_ = served.values[i];
-      flag_lane(w, pg.participants[i]);
-    }
-    w.clock = slot.data_ready;
-  } else {
-    const PipelineSlot slot =
-        port.pipeline.inject(pg.issue, pg.stages, pg.nreq);
-    BankMemory& mem = port.memory;
-    for (const std::int32_t b : pg.banks) mem.add_bank_traffic(b, 1);
-    // Deliver from the lanes' verified, still-pending ops; the slot is
-    // duplicate-free, so per-lane order is irrelevant within the batch.
-    const std::int32_t* lanes = live_lanes(w);
-    for (std::int64_t k = 0; k < w.live; ++k) {
-      ThreadState& ts = thread(w.first + lanes[k]);
-      const Op& op = ts.ctx.pending_;
-      if (op.kind == Op::Kind::kWrite) {
-        mem.replay_write(op.address, op.value);
-        ts.ctx.delivered_ = op.value;
-      } else {
-        ts.ctx.delivered_ = mem.replay_read(op.address);
-      }
-    }
-    flag_all_live(w);
-    w.clock = slot.data_ready;
-  }
-  requeue(s, w);
-}
-
-void Engine::worker_main(std::int64_t k) {
-  Shard& s = shards_[static_cast<std::size_t>(k)];
-  // The worker's own frame-arena scope: SubTask frames created while its
-  // lanes run mid-kernel subroutines come from this worker's arena.
-  const FrameArena::Scope arena_scope(s.arena);
-  std::unique_lock<std::mutex> lk(crew_.m);
-  for (;;) {
-    crew_.cv_work.wait(lk, [&] {
-      return crew_.stop || crew_.go[static_cast<std::size_t>(k - 1)] != 0;
-    });
-    if (crew_.stop) return;
-    crew_.go[static_cast<std::size_t>(k - 1)] = 0;
-    lk.unlock();
-    try {
-      run_shard(s);
-    } catch (...) {
-      lk.lock();
-      if (!crew_.error) crew_.error = std::current_exception();
-      crew_.stop = true;
-      --crew_.running;
-      crew_.cv_done.notify_one();
-      crew_.cv_work.notify_all();
-      return;
-    }
-    lk.lock();
-    --crew_.running;
-    crew_.cv_done.notify_one();
-  }
-}
-
-void Engine::run_threaded() {
-  const std::int64_t n = static_cast<std::int64_t>(shards_.size());
-  crew_.go.assign(static_cast<std::size_t>(n - 1), 0);
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(n - 1));
-  // Stop-and-join on EVERY exit path (first worker exception, coordinator
-  // exception, normal completion) before anything the workers reference
-  // is torn down.
-  struct Joiner {
-    Engine* e;
-    std::vector<std::thread>* pool;
-    ~Joiner() {
-      {
-        const std::lock_guard<std::mutex> lk(e->crew_.m);
-        e->crew_.stop = true;
-      }
-      e->crew_.cv_work.notify_all();
-      for (std::thread& t : *pool) t.join();
-    }
-  } joiner{this, &pool};
-  for (std::int64_t k = 1; k < n; ++k) {
-    pool.emplace_back(&Engine::worker_main, this, k);
-  }
-
-  // Coordinator-side merge structure: a min-heap of parked-round refs
-  // keyed by the serial pop order (clock, warp).
-  struct Ref {
-    Cycle clock;
-    WarpId warp;
-    std::int32_t shard;
-    std::int32_t slot;
-    bool operator<(const Ref& o) const {  // max-heap std::*_heap → invert
-      return o.clock < clock || (o.clock == clock && o.warp < warp);
-    }
-  };
-  std::vector<Ref> merge;
-
-  for (;;) {
-    // Phase A: run every shard with runnable warps to quiescence — the
-    // workers in parallel, shard 0 on this thread.
-    {
-      const std::lock_guard<std::mutex> lk(crew_.m);
-      if (crew_.error) break;
-      for (std::int64_t k = 1; k < n; ++k) {
-        if (!shards_[static_cast<std::size_t>(k)].queue.empty()) {
-          crew_.go[static_cast<std::size_t>(k - 1)] = 1;
-          ++crew_.running;
-        }
-      }
-    }
-    crew_.cv_work.notify_all();
-    if (!shards_.front().queue.empty()) run_shard(shards_.front());
-    {
-      std::unique_lock<std::mutex> lk(crew_.m);
-      crew_.cv_done.wait(lk, [&] { return crew_.running == 0; });
-      if (crew_.error) break;
-    }
-
-    // Phase B: pick up freshly parked global rounds.
-    for (Shard& s : shards_) {
-      for (const std::int32_t slot : s.pending_fresh) {
-        const PendingGlobal& pg =
-            s.pending_pool[static_cast<std::size_t>(slot)];
-        merge.push_back(Ref{pg.clock, pg.warp,
-                            static_cast<std::int32_t>(s.index), slot});
-        std::push_heap(merge.begin(), merge.end());
-      }
-      s.pending_fresh.clear();
-    }
-
-    // Phase C: service parked rounds in serial pop order, while the next
-    // item precedes everything any shard could still produce (the
-    // minimum key of every non-empty shard queue bounds its future).
-    while (!merge.empty()) {
-      const Ref r = merge.front();
-      bool safe = true;
-      for (const Shard& s : shards_) {
-        if (s.queue.empty()) continue;
-        const auto [c, wid] = s.queue.peek();
-        if (c < r.clock || (c == r.clock && wid < r.warp)) {
-          safe = false;
-          break;
-        }
-      }
-      if (!safe) break;
-      std::pop_heap(merge.begin(), merge.end());
-      merge.pop_back();
-      Shard& ps = shards_[static_cast<std::size_t>(r.shard)];
-      service_global(ps, ps.pending_pool[static_cast<std::size_t>(r.slot)]);
-      ps.pending_free.push_back(r.slot);
-    }
-    if (!merge.empty()) continue;  // blocked on a shard: go run it
-
-    // Anything requeued (or still queued) means more local work first.
-    bool runnable = false;
-    for (const Shard& s : shards_) runnable |= !s.queue.empty();
-    if (runnable) continue;
-
-    // Phase D: FULL quiescence, empty pending set — the only point where
-    // machine-domain bookkeeping can matter.  Apply the deferred exits
-    // and arrivals; release if complete, else we are done (or
-    // deadlocked — check_no_deadlock renders the aggregate verdict).
-    for (Shard& s : shards_) {
-      machine_domain_.active -= s.machine_finishes;
-      s.machine_finishes = 0;
-      for (const MachineArrival& a : s.machine_arrivals) {
-        machine_domain_.arrived.push_back(a.warp);
-        machine_domain_.max_arrival =
-            std::max(machine_domain_.max_arrival, a.clock);
-      }
-      s.machine_arrivals.clear();
-    }
-    if (!machine_domain_.arrived.empty() &&
-        static_cast<std::int64_t>(machine_domain_.arrived.size()) ==
-            machine_domain_.active) {
-      release(shards_.front(), machine_domain_);
-      continue;
-    }
-    break;
-  }
-
-  {
-    const std::lock_guard<std::mutex> lk(crew_.m);
-    if (crew_.error) std::rethrow_exception(crew_.error);
-  }
+  ++report_.fast_forward.replayed_rounds;
+  return true;
 }
 
 RunReport Machine::run(const KernelFn& kernel) {

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -122,18 +121,6 @@ struct MachineConfig {
   /// disables itself (full simulation, so observers see every event);
   /// the profile cache stays on because cached profiles are exact.
   bool fast_forward = true;
-  /// Engine worker threads for one run.  The engine shards the d DMMs
-  /// across this many workers (DMM j belongs to worker j % N) and
-  /// merges the globally-coupled rounds (global memory, machine-scope
-  /// barriers, warp finishes) in serial pop order, so RunReports are
-  /// bit-identical to the serial engine at any thread count.  0 means
-  /// "inherit the calling thread's default" (see
-  /// Machine::set_thread_engine_threads), which itself defaults to 1.
-  /// The effective count is clamped to the number of DMMs, and to 1
-  /// whenever an observer is attached or record_trace is set — the
-  /// serial-order event stream is only produced by the serial loop
-  /// (same contract as fast-forward replay disabling under observers).
-  std::int64_t threads = 0;
 };
 
 class Machine {
@@ -247,37 +234,6 @@ class Machine {
   static void set_thread_machine_overlay(const MachineOverlay* overlay);
   static const MachineOverlay* thread_machine_overlay();
 
-  // ---- intra-run parallelism -------------------------------------------
-  /// Engine worker threads for subsequent runs (overrides
-  /// MachineConfig::threads; 0 restores "inherit the thread default").
-  void set_engine_threads(std::int64_t threads) { config_.threads = threads; }
-  std::int64_t engine_threads() const { return config_.threads; }
-  /// Thread-local default for MachineConfig::threads == 0, mirroring
-  /// set_thread_frame_arena: the convenience drivers (alg::sum_hmm etc.)
-  /// build Machines internally, so run::run_point registers the resolved
-  /// --threads value here for the duration of one point dispatch.
-  /// Values < 1 reset the default to 1.
-  static void set_thread_engine_threads(std::int64_t threads);
-  static std::int64_t thread_engine_threads();
-
-  /// Per-engine-worker resources.  Engine worker i >= 1 (worker 0 is the
-  /// calling thread, which uses the machine's own resolution: external
-  /// hook, then thread default, then owned) draws its FrameArena and
-  /// PatternCache from slot i-1 of this machine-owned registry, so the
-  /// PR-6 memoization stays race-free and arenas warm across runs.
-  /// Slots are created on demand and TRIMMED to the new worker count at
-  /// run start — re-running with fewer threads must not keep stale
-  /// arenas (and their chunks) alive for workers that no longer exist.
-  struct WorkerResources {
-    FrameArena arena;
-    PatternCache cache;
-  };
-  WorkerResources& worker_resources(std::int64_t index);
-  std::int64_t worker_resource_count() const {
-    return static_cast<std::int64_t>(worker_resources_.size());
-  }
-  void trim_worker_resources(std::int64_t count);
-
  private:
   friend class Engine;
 
@@ -300,14 +256,11 @@ class Machine {
   FrameArena* external_arena_ = nullptr;  // not owned; overrides arena_
   PatternCache cache_;                    // priced round patterns
   PatternCache* external_cache_ = nullptr;  // not owned; overrides cache_
-  // Slot i serves engine worker i+1; unique_ptr keeps slots address-stable
-  // while the registry grows (workers hold references across a run).
-  std::vector<std::unique_ptr<WorkerResources>> worker_resources_;
 };
 
 /// RAII registration of a thread-local MachineOverlay for the span of one
-/// dispatch (mirrors run::run_point's EngineThreadsScope): restores the
-/// previous registration even when the guarded code throws.
+/// dispatch: restores the previous registration even when the guarded
+/// code throws.
 class MachineOverlayScope {
  public:
   explicit MachineOverlayScope(const MachineOverlay* overlay)

@@ -14,31 +14,8 @@
 
 namespace hmm::run {
 
-namespace {
-
-// The span drivers (alg::sum_hmm etc.) build their Machines internally,
-// out of reach of MachineConfig, so the resolved thread count travels as
-// the calling thread's engine default for exactly the span of one
-// dispatch.  RAII so precondition throws below restore the default too.
-class EngineThreadsScope {
- public:
-  explicit EngineThreadsScope(std::int64_t threads)
-      : saved_(Machine::thread_engine_threads()) {
-    Machine::set_thread_engine_threads(threads < 1 ? saved_ : threads);
-  }
-  ~EngineThreadsScope() { Machine::set_thread_engine_threads(saved_); }
-  EngineThreadsScope(const EngineThreadsScope&) = delete;
-  EngineThreadsScope& operator=(const EngineThreadsScope&) = delete;
-
- private:
-  std::int64_t saved_;
-};
-
-}  // namespace
-
 PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
                        EngineObserver* observer) {
-  const EngineThreadsScope threads_scope(o.threads);
   const bool hmm_model = o.model == "hmm";
   // A non-trivial topology reaches the span drivers as a thread-local
   // MachineOverlay (trivial specs and plain flags take the untouched

@@ -29,11 +29,6 @@ struct Point {
   std::int64_t d = 16;
   std::uint64_t seed = 1;
   bool fast_forward = true;
-  /// Engine worker threads for this one run (MachineConfig::threads).
-  /// 1 is the serial engine; 0 inherits the calling thread's default.
-  /// Runner-local like --jobs: not part of a sweep's identity, so shard
-  /// fingerprints and CSV rows never record it.
-  std::int64_t threads = 1;
   /// Declarative machine topology (--machine=FILE), already resolved to
   /// the flat axes above by the frontend (p = total threads, d = total
   /// DMMs, w = width, l = global latency).  null or a TRIVIAL spec run

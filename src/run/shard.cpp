@@ -171,9 +171,6 @@ Manifest plan_manifest(const GridSpec& spec, std::int64_t shards,
     if (spec.metrics) entry.argv.push_back("--metrics");
     if (!spec.fast_forward) entry.argv.push_back("--fast-forward=off");
     if (spec.analyze) entry.argv.push_back("--analyze=plan");
-    // Runner-local knobs (--jobs, --threads) never appear here or in the
-    // fingerprint: each shard host picks its own parallelism and rows
-    // are bit-identical regardless (docs/API.md "Sharded sweeps").
     entry.argv.push_back("--shard=" + std::to_string(i) + "/" +
                          std::to_string(shards));
     manifest.entries.push_back(std::move(entry));

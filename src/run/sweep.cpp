@@ -56,17 +56,6 @@ void SweepRunner::for_each(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::int64_t resolve_engine_threads(std::int64_t threads, std::int64_t jobs) {
-  HMM_REQUIRE(threads >= 0, "resolve_engine_threads: threads must be >= 0");
-  HMM_REQUIRE(jobs >= 0, "resolve_engine_threads: jobs must be >= 0");
-  const auto cores = static_cast<std::int64_t>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const std::int64_t t = threads == 0 ? cores : threads;
-  const std::int64_t j = jobs == 0 ? cores : jobs;
-  if (j <= 1 || j * t <= cores) return t;
-  return std::max<std::int64_t>(1, cores / j);
-}
-
 std::vector<RunReport> SweepRunner::run(std::span<const SweepJob> sweep) const {
   std::vector<RunReport> reports(sweep.size());
   for_each(static_cast<std::int64_t>(sweep.size()), [&](std::int64_t i) {

@@ -72,15 +72,4 @@ class SweepRunner {
   std::int64_t jobs_;
 };
 
-/// Resolve a `--threads` request (engine workers INSIDE one run) against
-/// a sweep's `--jobs` fan-out (grid points ACROSS runs).  0 on either
-/// axis means "all cores".  The resolved count is clamped so
-/// jobs x threads never oversubscribes the machine: when more than one
-/// sweep worker is running, each run gets at most cores/jobs engine
-/// workers (at least 1).  Reports are bit-identical at any thread count,
-/// so the clamp only affects speed, never results (docs/API.md
-/// "Intra-run parallelism").  Used by both hmmsim and the hmmsimd
-/// service so CLI and wire requests resolve identically.
-std::int64_t resolve_engine_threads(std::int64_t threads, std::int64_t jobs);
-
 }  // namespace hmm::run

@@ -74,7 +74,6 @@ json::Value run_request_json(const RunRequest& r) {
   o["d"] = int_list_json(r.d);
   o["seed"] = json::Value::make_int(static_cast<std::int64_t>(r.seed));
   o["fast_forward"] = json::Value::make_bool(r.fast_forward);
-  o["threads"] = json::Value::make_int(r.threads);
   o["metrics"] = json::Value::make_bool(r.metrics);
   o["telemetry"] = json::Value::make_int(r.telemetry);
   // The machine rides as an inline OBJECT (r.machine is its normalized
@@ -105,12 +104,6 @@ RunRequest run_request_from_json(const json::Value& v) {
   }
   if (const json::Value* f = v.find("fast_forward")) {
     r.fast_forward = f->as_bool();
-  }
-  if (const json::Value* f = v.find("threads")) {
-    r.threads = f->as_int64();
-    if (r.threads < 0) {
-      throw PreconditionError("run request: threads must be >= 0");
-    }
   }
   if (const json::Value* f = v.find("metrics")) r.metrics = f->as_bool();
   if (const json::Value* f = v.find("telemetry")) {
@@ -193,9 +186,6 @@ std::vector<run::Point> expand_grid(const RunRequest& request) {
               point.d = d;
               point.seed = request.seed;
               point.fast_forward = request.fast_forward;
-              // Verbatim; the daemon re-resolves against its own core
-              // count and --jobs before running (server.cpp).
-              point.threads = request.threads;
               grid.push_back(std::move(point));
             }
           }

@@ -49,12 +49,6 @@ struct RunRequest {
   std::vector<std::int64_t> d{16};
   std::uint64_t seed = 1;
   bool fast_forward = true;
-  /// Engine worker threads inside each grid point's run (the CLI's
-  /// --threads; 0 = all the daemon's cores).  The daemon clamps this
-  /// against its own --jobs fan-out (run::resolve_engine_threads) and
-  /// the engine clamps to d, so results are bit-identical whatever the
-  /// client asks for — only speed changes.
-  std::int64_t threads = 1;
   bool metrics = false;  ///< stream a metrics frame per grid point
   /// Per-grid-point trace-event budget for live telemetry frames; 0
   /// disables the trace channel entirely.  The daemon clamps this to its

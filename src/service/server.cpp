@@ -17,7 +17,6 @@
 #include "machine/machine.hpp"
 #include "machine/topology_spec.hpp"
 #include "report/sweep_csv.hpp"
-#include "run/sweep.hpp"
 #include "telemetry/fanout.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson.hpp"
@@ -406,16 +405,6 @@ void Server::enqueue_run(const ConnectionPtr& conn, RunRequest request) {
   job.conn = conn;
   job.grid = expand_grid(request);
   for (run::Point& point : job.grid) point.machine = machine;
-  // The request ships the client's --threads verbatim; admission is
-  // where the daemon re-resolves it against ITS core count and --jobs
-  // fan-out (same clamp the CLI applies locally).  Bit-identical rows
-  // either way — the clamp only affects speed.
-  {
-    const std::int64_t engine_threads = run::resolve_engine_threads(
-        request.threads,
-        job.grid.size() > 1 ? static_cast<std::int64_t>(config_.jobs) : 1);
-    for (run::Point& point : job.grid) point.threads = engine_threads;
-  }
   job.request = std::move(request);
   const std::int64_t grid_points =
       static_cast<std::int64_t>(job.grid.size());

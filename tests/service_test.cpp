@@ -203,6 +203,11 @@ TEST(ServiceProtocol, RunRequestDefaultsMatchTheCli) {
   EXPECT_TRUE(run.fast_forward);
   EXPECT_FALSE(run.metrics);
   EXPECT_EQ(run.telemetry, 0);
+  // The retired "threads" key is ignored like any other unknown key.
+  EXPECT_EQ(service::request_from_json(json::parse(
+                R"({"type":"run","id":"x","algorithm":"sum","n":2048,)"
+                R"("threads":4})")),
+            parsed);
 }
 
 TEST(ServiceProtocol, RunRequestRejectsBadAxes) {

@@ -336,13 +336,6 @@ TEST(TopologySpec, LinkedRunsAreDeterministicAcrossModes) {
   EXPECT_EQ(base.time, slow.time);
   EXPECT_EQ(base.global_stages, slow.global_stages);
   EXPECT_EQ(base.summary, slow.summary);
-
-  run::Point threaded = point;
-  threaded.threads = 4;
-  const run::PointOutcome parallel = run::run_point(threaded, workloads);
-  EXPECT_EQ(base.time, parallel.time);
-  EXPECT_EQ(base.global_stages, parallel.global_stages);
-  EXPECT_EQ(base.summary, parallel.summary);
 }
 
 TEST(TopologySpec, NonTrivialSpecRequiresHmmModel) {

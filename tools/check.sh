@@ -40,12 +40,6 @@ if printf 'int main(){return 0;}' > /tmp/tsan_probe.cc \
     > /dev/null
   cmake --build build-tsan -j "${JOBS}"
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}"
-  # The threaded engine suite once more, serially: a TSan report should
-  # land in clean, uninterleaved output (the parallel pass above still
-  # covers it; this is the focused rerun the intra-run parallelism work
-  # added).
-  ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadedEngine|hmmsim_threads'
 else
   echo "TSan runtime unavailable; skipping thread-sanitizer stage"
 fi

@@ -68,7 +68,6 @@ struct Options {
   std::int64_t l = 400;
   std::int64_t d = 16;
   std::uint64_t seed = 1;
-  std::int64_t threads = 1;  ///< resolved engine workers for this run
   bool csv = false;
   bool fast_forward = true;
   /// Resolved --machine topology; null for flag runs.  Trivial specs
@@ -88,7 +87,6 @@ struct Cli {
   std::vector<std::int64_t> d = {16};
   std::uint64_t seed = 1;
   std::int64_t jobs = 1;
-  std::int64_t threads = 1;  ///< --threads: engine workers inside one run
   bool csv = false;
   bool fast_forward = true;                 ///< --fast-forward=on|off
   bool check = false;
@@ -161,11 +159,6 @@ int usage(const char* argv0) {
       "  --seed S          workload seed (default 1)\n"
       "  --jobs J          worker threads for sweeps; 0 = all cores "
       "(default 1)\n"
-      "  --threads T       engine worker threads inside one run: the d\n"
-      "                    DMMs are sharded across them and reports stay\n"
-      "                    bit-identical at any count.  0 = all cores;\n"
-      "                    clamped to --d, and against --jobs so the\n"
-      "                    sweep never oversubscribes (default 1)\n"
       "  --csv             one CSV line: algorithm,model,n,m,p,w,l,d,"
       "time,global_stages,ff_rounds\n"
       "  --fast-forward=on|off  round-pattern memoization and verified\n"
@@ -400,7 +393,7 @@ bool parse(int argc, char** argv, Cli& cli) {
       else if (a == "--w") { axis = &cli.w; cli.w_given = true; }
       else if (a == "--l") { axis = &cli.l; cli.l_given = true; }
       else if (a == "--d") { axis = &cli.d; cli.d_given = true; }
-      else if (a == "--seed" || a == "--jobs" || a == "--threads") {
+      else if (a == "--seed" || a == "--jobs") {
         std::vector<std::int64_t> one;
         if (!parse_list(v, one, 0)) return false;
         if (one.size() != 1) {
@@ -410,8 +403,7 @@ bool parse(int argc, char** argv, Cli& cli) {
                                       "list (got \"" + v + "\")");
         }
         if (a == "--seed") cli.seed = static_cast<std::uint64_t>(one[0]);
-        else if (a == "--jobs") cli.jobs = one[0];
-        else cli.threads = one[0];
+        else cli.jobs = one[0];
       }
       else return false;
       if (axis && !parse_list(v, *axis)) return false;
@@ -541,13 +533,6 @@ std::vector<Options> expand_grid(const Cli& cli) {
               o.machine = cli.machine;
               grid.push_back(std::move(o));
             }
-  // --threads resolves once for the whole grid (0 = all cores), clamped
-  // against the sweep fan-out so --jobs x --threads never oversubscribes
-  // the machine.  Like --jobs it is runner-local: never part of the
-  // sweep identity, the CSV rows, or the shard fingerprint.
-  const std::int64_t engine_threads = run::resolve_engine_threads(
-      cli.threads, grid.size() > 1 ? cli.jobs : 1);
-  for (Options& o : grid) o.threads = engine_threads;
   return grid;
 }
 
@@ -572,7 +557,6 @@ run::Point to_point(const Options& o) {
   point.d = o.d;
   point.seed = o.seed;
   point.fast_forward = o.fast_forward;
-  point.threads = o.threads;
   point.machine = o.machine;
   return point;
 }
@@ -922,9 +906,6 @@ int client_run(const Cli& cli) {
   request.fast_forward = cli.fast_forward;
   request.metrics = cli.metrics;
   request.telemetry = cli.telemetry;
-  // Ship the raw request; the daemon clamps against ITS cores and
-  // --jobs, not the client's (the run executes over there).
-  request.threads = cli.threads;
   // A local --machine file travels as its normalized inline document;
   // --machine-preset ships just the name and the daemon resolves it
   // against its --machines directory.  Either way the daemon re-derives
