@@ -1,7 +1,6 @@
 #include "run/point.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "alg/convolution.hpp"
 #include "alg/matmul.hpp"
@@ -14,30 +13,39 @@
 
 namespace hmm::run {
 
-PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
-                       EngineObserver* observer) {
-  const bool hmm_model = o.model == "hmm";
-  // A non-trivial topology reaches the span drivers as a thread-local
-  // MachineOverlay (trivial specs and plain flags take the untouched
-  // path).  The drivers' shared-size formulas are nondecreasing in the
-  // per-DMM thread count, so sizing them for the LARGEST DMM — with the
-  // overlay's per-DMM minima applied on top — gives every kernel the
-  // room it expects on a heterogeneous machine.
-  const bool overlaid = o.machine != nullptr && !o.machine->is_trivial();
-  if (overlaid && !hmm_model) {
+namespace {
+
+std::optional<MachineOverlay> overlay_of(const Point& o) {
+  if (o.machine == nullptr || o.machine->is_trivial()) return std::nullopt;
+  if (o.model != "hmm") {
     throw PreconditionError(
         "--machine topologies with per-DMM overrides or links require the "
         "hmm model");
   }
-  std::optional<MachineOverlay> overlay;
-  if (overlaid) overlay.emplace(o.machine->overlay());
-  const MachineOverlayScope overlay_scope(overlay ? &*overlay : nullptr);
+  return o.machine->overlay();
+}
 
-  const std::int64_t pd = overlaid ? o.machine->max_threads_per_dmm()
-                                   : (hmm_model ? o.p / o.d : 0);
-  if (hmm_model && !overlaid && (o.p % o.d != 0 || pd < 1)) {
+std::int64_t flat_threads_per_dmm(const Point& o) {
+  if (o.model != "hmm") return 0;
+  if (o.d < 1 || o.p % o.d != 0 || o.p / o.d < 1) {
     throw PreconditionError("--p must be a positive multiple of --d");
   }
+  return o.p / o.d;
+}
+
+}  // namespace
+
+HmmShape::HmmShape(const Point& o)
+    : overlay_(overlay_of(o)),
+      scope_(overlay_ ? &*overlay_ : nullptr),
+      threads_per_dmm_(overlay_ ? o.machine->max_threads_per_dmm()
+                                : flat_threads_per_dmm(o)) {}
+
+PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
+                       EngineObserver* observer) {
+  const bool hmm_model = o.model == "hmm";
+  const HmmShape shape(o);
+  const std::int64_t pd = shape.threads_per_dmm();
 
   PointOutcome out;
   auto finish = [&](const RunReport& r, std::string summary) {

@@ -9,15 +9,19 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "alg/workload.hpp"
+#include "machine/machine.hpp"
 #include "machine/observer.hpp"
 #include "machine/topology_spec.hpp"
 
 namespace hmm::run {
 
-/// One grid point of the sweep vocabulary (the hmmsim axes).
+/// One grid point of the sweep vocabulary (the hmmsim axes).  Its
+/// initializers are the vocabulary's defaults (hmmsim's usage text):
+/// GridSpec and the wire's RunRequest start every field from them.
 struct Point {
   std::string algorithm;      ///< sum, scan, conv, sort, matmul, match
   std::string model = "hmm";  ///< or "umm"
@@ -30,7 +34,7 @@ struct Point {
   std::uint64_t seed = 1;
   bool fast_forward = true;
   /// Declarative machine topology (--machine=FILE), already resolved to
-  /// the flat axes above by the frontend (p = total threads, d = total
+  /// the flat axes above by GridSpec::adopt (p = total threads, d = total
   /// DMMs, w = width, l = global latency).  null or a TRIVIAL spec run
   /// the untouched flag path — byte-identity between a flag run and its
   /// synthesized JSON is by construction.  A non-trivial spec registers
@@ -38,6 +42,8 @@ struct Point {
   /// drivers build the heterogeneous/multi-HMM machine.  Shared because
   /// every point of a sweep references one parsed spec across workers.
   std::shared_ptr<const topo::TopologySpec> machine;
+
+  friend bool operator==(const Point&, const Point&) = default;
 };
 
 /// What one executed point reports back.
@@ -46,6 +52,27 @@ struct PointOutcome {
   std::int64_t global_stages = 0;
   std::int64_t ff_rounds = 0;  ///< RunReport::fast_forward.replayed_rounds
   std::string summary;         ///< human one-liner ("sum = 42")
+};
+
+/// The HMM shape a point runs on, for one dispatch (run_point and
+/// `hmmsim --check`): installs a non-trivial topology's MachineOverlay
+/// until destruction and computes the per-DMM thread count the span
+/// drivers take.  Throws PreconditionError when a non-trivial topology
+/// meets a model other than hmm, or when p is not a positive multiple of
+/// d on the flat hmm machine.
+class HmmShape {
+ public:
+  explicit HmmShape(const Point& point);
+
+  /// The LARGEST DMM's thread count under an overlay — the drivers'
+  /// shared-size formulas are nondecreasing in it, so every kernel gets
+  /// the room it expects — p / d on the flat hmm machine, 0 on umm.
+  std::int64_t threads_per_dmm() const { return threads_per_dmm_; }
+
+ private:
+  std::optional<MachineOverlay> overlay_;
+  MachineOverlayScope scope_;
+  std::int64_t threads_per_dmm_;
 };
 
 /// Execute `point` on a fresh machine, reading inputs through the shared

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/json.hpp"
@@ -37,7 +38,8 @@ std::vector<std::int64_t> parse_axis(const json::Value& axes,
   for (const json::Value& v : axes.get(name).as_array()) {
     out.push_back(v.as_int64());
   }
-  HMM_REQUIRE(!out.empty(), "manifest: axis \"" + name + "\" is empty");
+  const std::string error = axis_error(out);
+  HMM_REQUIRE(error.empty(), "manifest: axis \"" + name + "\" " + error);
   return out;
 }
 
@@ -50,6 +52,15 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     h *= 0x100000001b3ull;  // FNV prime
   }
   return h;
+}
+
+std::string axis_error(const std::vector<std::int64_t>& values,
+                       std::int64_t min) {
+  if (values.empty()) return "is empty";
+  for (const std::int64_t value : values) {
+    if (value < min) return "values must be >= " + std::to_string(min);
+  }
+  return {};
 }
 
 std::int64_t ShardPlan::count(std::int64_t grid_points) const {
@@ -96,6 +107,39 @@ std::int64_t GridSpec::points() const {
     total *= static_cast<std::int64_t>(axis->size());
   }
   return total;
+}
+
+std::vector<Point> GridSpec::expand() const {
+  std::vector<Point> grid;
+  grid.reserve(static_cast<std::size_t>(points()));
+  for (const std::int64_t nv : n)
+    for (const std::int64_t mv : m)
+      for (const std::int64_t pv : p)
+        for (const std::int64_t wv : w)
+          for (const std::int64_t lv : l)
+            for (const std::int64_t dv : d) {
+              grid.push_back({.algorithm = algorithm, .model = model,
+                              .n = nv, .m = mv, .p = pv, .w = wv, .l = lv,
+                              .d = dv, .seed = seed,
+                              .fast_forward = fast_forward,
+                              .machine = topology});
+            }
+  return grid;
+}
+
+bool GridSpec::adopt(std::shared_ptr<const topo::TopologySpec> spec) {
+  if (spec == nullptr) return true;
+  // Only a topology the engine can OBSERVE joins the fingerprint: a
+  // trivial spec is the same machine as its flags, so it hashes the same.
+  const bool trivial = spec->is_trivial();
+  if (!trivial && model != "hmm") return false;
+  p = {spec->total_threads()};
+  w = {spec->width};
+  l = {spec->global_latency};
+  d = {spec->total_dmms()};
+  machine = trivial ? std::string() : spec->canonical();
+  topology = std::move(spec);
+  return true;
 }
 
 std::string GridSpec::canonical() const {
@@ -269,8 +313,10 @@ Manifest parse_manifest_json(const std::string& text) {
   const json::Value& grid = doc.get("grid");
   manifest.grid.algorithm = grid.get("algorithm").as_string();
   manifest.grid.model = grid.get("model").as_string();
-  manifest.grid.seed =
-      static_cast<std::uint64_t>(grid.get("seed").as_int64());
+  const std::int64_t seed = grid.get("seed").as_int64();
+  const std::string seed_error = axis_error({seed}, 0);
+  HMM_REQUIRE(seed_error.empty(), "manifest: seed " + seed_error);
+  manifest.grid.seed = static_cast<std::uint64_t>(seed);
   manifest.grid.metrics = grid.get("metrics").as_bool();
   manifest.grid.fast_forward = grid.get("fast_forward").as_bool();
   manifest.grid.analyze = grid.get("analyze").as_bool();

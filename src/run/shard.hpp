@@ -5,10 +5,12 @@
 //
 // The pieces:
 //
-//   GridSpec   — the sweep's identity: algorithm, model, the six axis
-//                value lists, seed and the metrics flag.  Everything
-//                that determines the CSV rows (and nothing that does
-//                not: `--jobs` is a runner-local choice).  Its
+//   GridSpec   — the one sweep vocabulary (hmmsim flags, hmmsimd run
+//                requests, manifests): its defaults are run::Point's,
+//                and it is the only home of the axis rule, the row-major
+//                expansion and --machine adoption.  Everything that
+//                determines the CSV rows (and nothing that does not:
+//                `--jobs` is a runner-local choice).  Its
 //                `fingerprint()` — FNV-1a 64 over a canonical rendering
 //                — tags every manifest and every sharded CSV row, so a
 //                merge can prove all inputs came from the same grid.
@@ -30,14 +32,25 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "machine/topology_spec.hpp"
+#include "run/point.hpp"
 
 namespace hmm::run {
 
 /// FNV-1a 64-bit over `bytes` — the manifest fingerprint hash.
 std::uint64_t fnv1a64(std::string_view bytes);
+
+/// The axis rule argv, the wire and manifests share: an axis is a
+/// non-empty list of values >= `min` (1 for the six axes, 0 for the
+/// seed).  Returns why `values` breaks it ("is empty", "values must be
+/// >= 1"), or an empty string when it holds.
+std::string axis_error(const std::vector<std::int64_t>& values,
+                       std::int64_t min = 1);
 
 /// Round-robin shard assignment: shard `shard` of `shards` owns every
 /// grid index congruent to it mod `shards`.
@@ -63,14 +76,15 @@ bool parse_shard_spec(std::string_view spec, ShardPlan& plan);
 /// Identity of one sweep grid; see file comment.
 struct GridSpec {
   std::string algorithm;
-  std::string model = "hmm";
-  std::vector<std::int64_t> n, m, p, w, l, d;
-  std::uint64_t seed = 1;
+  std::string model = Point{}.model;
+  std::vector<std::int64_t> n{Point{}.n}, m{Point{}.m}, p{Point{}.p},
+      w{Point{}.w}, l{Point{}.l}, d{Point{}.d};
+  std::uint64_t seed = Point{}.seed;
   bool metrics = false;       ///< rows carry the five metric columns
-  bool fast_forward = true;   ///< engine replay shortcut (hmmsim
-                              ///< --fast-forward); part of the identity
-                              ///< because shards must agree on it even
-                              ///< though results are provably equal
+  /// Engine replay shortcut (hmmsim --fast-forward); part of the identity
+  /// because shards must agree on it even though results are provably
+  /// equal.
+  bool fast_forward = Point{}.fast_forward;
   bool analyze = false;       ///< rows carry the three static-analyzer
                               ///< columns (hmmsim --analyze sweeps)
   /// Topology digest: the canonical text of a NON-trivial --machine
@@ -84,9 +98,24 @@ struct GridSpec {
   /// input, not grid identity: NOT part of canonical() (two paths to the
   /// same document fingerprint identically via `machine`).
   std::string machine_path;
+  /// The adopted topology every expanded point carries; null for flag
+  /// grids and parsed manifests.  Runner input like machine_path.
+  std::shared_ptr<const topo::TopologySpec> topology;
 
   /// Total grid points (product of the six axis sizes).
   std::int64_t points() const;
+
+  /// The grid's points in row-major (n, m, p, w, l, d) order, n
+  /// outermost, each carrying `topology` — so grid index i names the
+  /// same point in a local sweep, a shard run and a daemon request.
+  std::vector<Point> expand() const;
+
+  /// Adopt a resolved --machine topology (null adopts nothing): its
+  /// derived shape replaces the p/w/l/d axes, every expanded point
+  /// carries it, and a non-trivial spec sets the `machine` digest.
+  /// Returns false, adopting nothing, when a non-trivial spec meets a
+  /// model other than hmm — only the hmm model has DMMs to reshape.
+  [[nodiscard]] bool adopt(std::shared_ptr<const topo::TopologySpec> spec);
 
   /// Canonical one-line rendering — the fingerprint input.  Stable
   /// across runs and processes by construction (no pointers, no

@@ -17,9 +17,17 @@ json::Value int_list_json(const std::vector<std::int64_t>& values) {
   return json::Value::make_array(std::move(items));
 }
 
+// Enforces the shared axis rule (run::axis_error) on a request field.
+void require_axis(const std::vector<std::int64_t>& values,
+                  const std::string& axis, std::int64_t min = 1) {
+  const std::string error = run::axis_error(values, min);
+  if (!error.empty()) {
+    throw PreconditionError("run request: axis '" + axis + "' " + error);
+  }
+}
+
 // Accepts either a single integer or a list — `"n": 1024` and
-// `"n": [1024]` mean the same thing — and enforces the CLI's axis rule
-// (non-empty, every value >= 1).
+// `"n": [1024]` mean the same thing.
 std::vector<std::int64_t> int_list_from_json(const json::Value& v,
                                              const std::string& axis) {
   std::vector<std::int64_t> out;
@@ -28,16 +36,25 @@ std::vector<std::int64_t> int_list_from_json(const json::Value& v,
   } else {
     out.push_back(v.as_int64());
   }
-  if (out.empty()) {
-    throw PreconditionError("run request: axis '" + axis + "' is empty");
-  }
-  for (std::int64_t value : out) {
-    if (value < 1) {
-      throw PreconditionError("run request: axis '" + axis +
-                              "' values must be >= 1");
-    }
-  }
+  require_axis(out, axis);
   return out;
+}
+
+// RunRequest and GridSpec spell the sweep fields alike; this is the one
+// list of them, copied in either direction.
+template <class From, class To>
+void copy_sweep_fields(const From& from, To& to) {
+  to.algorithm = from.algorithm;
+  to.model = from.model;
+  to.n = from.n;
+  to.m = from.m;
+  to.p = from.p;
+  to.w = from.w;
+  to.l = from.l;
+  to.d = from.d;
+  to.seed = from.seed;
+  to.fast_forward = from.fast_forward;
+  to.metrics = from.metrics;
 }
 
 json::Value string_list_json(const std::vector<std::string>& values) {
@@ -100,7 +117,9 @@ RunRequest run_request_from_json(const json::Value& v) {
   if (const json::Value* f = v.find("l")) r.l = int_list_from_json(*f, "l");
   if (const json::Value* f = v.find("d")) r.d = int_list_from_json(*f, "d");
   if (const json::Value* f = v.find("seed")) {
-    r.seed = static_cast<std::uint64_t>(f->as_int64());
+    const std::int64_t seed = f->as_int64();
+    require_axis({seed}, "seed", 0);
+    r.seed = static_cast<std::uint64_t>(seed);
   }
   if (const json::Value* f = v.find("fast_forward")) {
     r.fast_forward = f->as_bool();
@@ -165,35 +184,20 @@ Request request_from_json(const json::Value& v) {
   throw PreconditionError("unknown request type: " + type);
 }
 
-std::vector<run::Point> expand_grid(const RunRequest& request) {
-  std::vector<run::Point> grid;
-  grid.reserve(request.n.size() * request.m.size() * request.p.size() *
-               request.w.size() * request.l.size() * request.d.size());
-  for (std::int64_t n : request.n) {
-    for (std::int64_t m : request.m) {
-      for (std::int64_t p : request.p) {
-        for (std::int64_t w : request.w) {
-          for (std::int64_t l : request.l) {
-            for (std::int64_t d : request.d) {
-              run::Point point;
-              point.algorithm = request.algorithm;
-              point.model = request.model;
-              point.n = n;
-              point.m = m;
-              point.p = p;
-              point.w = w;
-              point.l = l;
-              point.d = d;
-              point.seed = request.seed;
-              point.fast_forward = request.fast_forward;
-              grid.push_back(std::move(point));
-            }
-          }
-        }
-      }
-    }
-  }
+run::GridSpec grid_spec(const RunRequest& request) {
+  run::GridSpec grid;
+  copy_sweep_fields(request, grid);
   return grid;
+}
+
+RunRequest run_request(const run::GridSpec& grid) {
+  RunRequest request;
+  copy_sweep_fields(grid, request);
+  return request;
+}
+
+std::vector<run::Point> expand_grid(const RunRequest& request) {
+  return grid_spec(request).expand();
 }
 
 namespace {

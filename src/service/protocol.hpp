@@ -14,9 +14,9 @@
 // json::Value objects serialised with json::to_string, and every frame
 // type parses back into an identical struct (frame_from_json; locked by
 // tests/service_test.cpp).  A run request carries the hmmsim sweep
-// vocabulary verbatim — per-axis value LISTS expanded to the row-major
-// cartesian grid by expand_grid, exactly the CLI's order — and each
-// result frame carries the finished sweep-CSV row for its grid point, so
+// vocabulary verbatim — per-axis value LISTS that become a run::GridSpec
+// and expand through the CLI's own GridSpec::expand — and each result
+// frame carries the finished sweep-CSV row for its grid point, so
 // `hmmsim --connect` output is byte-identical to a local `--csv` run by
 // construction.
 #pragma once
@@ -29,6 +29,7 @@
 #include "core/json.hpp"
 #include "machine/report.hpp"
 #include "run/point.hpp"
+#include "run/shard.hpp"
 #include "service/stats.hpp"
 
 namespace hmm::service {
@@ -36,19 +37,20 @@ namespace hmm::service {
 // ---- requests (client -> server) ----------------------------------------
 
 /// Execute a run or sweep: the hmmsim axes, each a value list; more than
-/// one value on any axis makes it a sweep over the cartesian grid.
+/// one value on any axis makes it a sweep over the cartesian grid.  The
+/// defaults are run::Point's, like GridSpec's.
 struct RunRequest {
   std::string id;         ///< echoed as `req` in every response frame
   std::string algorithm;  ///< sum, scan, conv, sort, matmul, match
-  std::string model = "hmm";
-  std::vector<std::int64_t> n{1 << 16};
-  std::vector<std::int64_t> m{32};
-  std::vector<std::int64_t> p{2048};
-  std::vector<std::int64_t> w{32};
-  std::vector<std::int64_t> l{400};
-  std::vector<std::int64_t> d{16};
-  std::uint64_t seed = 1;
-  bool fast_forward = true;
+  std::string model = run::Point{}.model;
+  std::vector<std::int64_t> n{run::Point{}.n};
+  std::vector<std::int64_t> m{run::Point{}.m};
+  std::vector<std::int64_t> p{run::Point{}.p};
+  std::vector<std::int64_t> w{run::Point{}.w};
+  std::vector<std::int64_t> l{run::Point{}.l};
+  std::vector<std::int64_t> d{run::Point{}.d};
+  std::uint64_t seed = run::Point{}.seed;
+  bool fast_forward = run::Point{}.fast_forward;
   bool metrics = false;  ///< stream a metrics frame per grid point
   /// Per-grid-point trace-event budget for live telemetry frames; 0
   /// disables the trace channel entirely.  The daemon clamps this to its
@@ -96,13 +98,19 @@ using Request =
                  DrainRequest>;
 
 json::Value request_json(const Request& request);
-/// Throws PreconditionError on unknown type, missing fields, empty or
-/// non-positive axis values (mirrors the CLI's hardened parse_list).
+/// Throws PreconditionError on unknown type, missing fields, or axes and
+/// a seed that break run::axis_error — the rule the CLI and manifests
+/// apply too.
 Request request_from_json(const json::Value& v);
 
-/// The request's cartesian grid in row-major (n, m, p, w, l, d) order —
-/// the exact expansion hmmsim performs, so grid_index i here names the
-/// same operating point as row i of the local sweep.
+/// The request's sweep fields as a GridSpec, and back: the two spell
+/// algorithm, model, the six axes, seed, fast_forward and metrics alike.
+run::GridSpec grid_spec(const RunRequest& request);
+RunRequest run_request(const run::GridSpec& grid);
+
+/// grid_spec(request).expand(): the exact expansion hmmsim performs, so
+/// grid_index i here names the same operating point as row i of the
+/// local sweep.
 std::vector<run::Point> expand_grid(const RunRequest& request);
 
 // ---- frames (server -> client) ------------------------------------------

@@ -380,31 +380,24 @@ void Server::enqueue_run(const ConnectionPtr& conn, RunRequest request) {
   }
   // A declarative topology replaces the flat p/w/l/d axes: the spec is
   // resolved ONCE at admission (bad presets and malformed documents are
-  // error frames, not queue entries) and its derived shape overwrites
-  // those axes before grid expansion, exactly as `hmmsim --machine` does
-  // locally.
-  std::shared_ptr<const topo::TopologySpec> machine;
+  // error frames, not queue entries) and adopted by the request's grid
+  // before expansion, exactly as `hmmsim --machine` does locally.
+  run::GridSpec grid = grid_spec(request);
+  bool adopted = false;
   try {
-    machine = resolve_machine(request, config_.machines_dir);
+    adopted = grid.adopt(resolve_machine(request, config_.machines_dir));
   } catch (const std::exception& e) {
     reject(e.what());
     return;
   }
-  if (machine != nullptr) {
-    if (!machine->is_trivial() && request.model != "hmm") {
-      reject("machine topologies with per-DMM overrides or links require "
-             "the hmm model");
-      return;
-    }
-    request.p = {machine->total_threads()};
-    request.w = {machine->width};
-    request.l = {machine->global_latency};
-    request.d = {machine->total_dmms()};
+  if (!adopted) {
+    reject("machine topologies with per-DMM overrides or links require "
+           "the hmm model");
+    return;
   }
   QueuedRun job;
   job.conn = conn;
-  job.grid = expand_grid(request);
-  for (run::Point& point : job.grid) point.machine = machine;
+  job.grid = grid.expand();
   job.request = std::move(request);
   const std::int64_t grid_points =
       static_cast<std::int64_t>(job.grid.size());

@@ -17,6 +17,7 @@
 #include "core/json.hpp"
 #include "core/version.hpp"
 #include "machine/machine.hpp"
+#include "machine/topology_spec.hpp"
 #include "report/metrics.hpp"
 #include "service/address.hpp"
 #include "service/client.hpp"
@@ -208,6 +209,11 @@ TEST(ServiceProtocol, RunRequestDefaultsMatchTheCli) {
                 R"({"type":"run","id":"x","algorithm":"sum","n":2048,)"
                 R"("threads":4})")),
             parsed);
+  // The wire expands exactly like the CLI's GridSpec over the same axes.
+  run::GridSpec grid;
+  grid.algorithm = "sum";
+  grid.n = {2048};
+  EXPECT_EQ(service::expand_grid(run), grid.expand());
 }
 
 TEST(ServiceProtocol, RunRequestRejectsBadAxes) {
@@ -225,6 +231,10 @@ TEST(ServiceProtocol, RunRequestRejectsBadAxes) {
       service::request_from_json(json::parse(
           R"({"type":"run","id":"x","algorithm":"sum","model":"dmm"})")),
       PreconditionError);
+  // A negative seed would wrap to 2^64-1; the CLI rejects it too.
+  EXPECT_THROW(service::request_from_json(json::parse(
+                   R"({"type":"run","id":"x","algorithm":"sum","seed":-1})")),
+               PreconditionError);
 }
 
 TEST(ServiceProtocol, ExpandGridIsRowMajor) {
@@ -492,6 +502,58 @@ TEST(Service, DrainingServerRejectsNewRunsAndFinishesQueuedWork) {
   EXPECT_EQ(stats.requests_completed, 1);
   EXPECT_EQ(stats.requests_rejected, 1);
   EXPECT_TRUE(stats.draining);
+}
+
+TEST(Service, AdmissionAdoptsTheMachineTopology) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_machine_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  service::Client client;
+  client.connect(config.listen);
+
+  // Two linked HMMs of two 32-thread DMMs: p/w/l/d come from the spec,
+  // not from the request's (default) axes.
+  service::RunRequest linked;
+  linked.id = "linked";
+  linked.algorithm = "sum";
+  linked.n = {1024};
+  linked.machine = topo::parse_topology_text(
+                       R"({"hmms": [{"name": "a", "dmms": 2},
+                                    {"name": "b", "dmms": 2}],
+                           "links": [{"from": "b", "to": "a",
+                                      "latency": 7}]})",
+                       "<test>")
+                       .document();
+  service::RunRequest umm = linked;
+  umm.id = "umm";
+  umm.model = "umm";
+  client.send(linked);
+  client.send(umm);
+  client.send(service::DrainRequest{"d"});
+
+  bool rejected = false;
+  std::string row;
+  for (;;) {
+    auto frame = client.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "connection closed before bye";
+    if (auto* error = std::get_if<service::ErrorFrame>(&*frame)) {
+      EXPECT_EQ(error->req, "umm");
+      EXPECT_NE(error->message.find("require the hmm model"),
+                std::string::npos);
+      rejected = true;
+    } else if (auto* result = std::get_if<service::ResultFrame>(&*frame)) {
+      row = result->row;
+    } else if (std::get_if<service::ByeFrame>(&*frame)) {
+      break;
+    }
+  }
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(row.rfind("sum,hmm,1024,32,128,32,400,4,", 0), 0u) << row;
+  serve.join();
 }
 
 }  // namespace

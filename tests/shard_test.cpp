@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <set>
 
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "machine/topology_spec.hpp"
 #include "report/sweep_csv.hpp"
 #include "run/shard.hpp"
 
@@ -145,6 +148,57 @@ TEST(GridSpec, FnvVector) {
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
+std::shared_ptr<const topo::TopologySpec> linked_topology() {
+  return std::make_shared<const topo::TopologySpec>(topo::parse_topology_text(
+      R"({"hmms": [{"name": "a", "dmms": 2, "threads_per_dmm": 32},
+                   {"name": "b", "dmms": 2, "threads_per_dmm": 32}],
+          "links": [{"from": "b", "to": "a", "latency": 7}]})",
+      "<test>"));
+}
+
+TEST(GridSpec, FingerprintIsPinned) {
+  // Saved manifests and sharded CSVs carry these digests: reordering
+  // canonical() or the topology digest would silently orphan them.
+  EXPECT_EQ(small_spec().fingerprint(), "330738b260677c91");
+  GridSpec linked;
+  linked.algorithm = "sum";
+  linked.n = {1024};
+  ASSERT_TRUE(linked.adopt(linked_topology()));
+  EXPECT_EQ(linked.fingerprint(), "78e8a231240a469f");
+}
+
+TEST(GridSpec, AdoptReplacesTheShapeAxes) {
+  GridSpec spec = small_spec();
+  ASSERT_TRUE(spec.adopt(linked_topology()));
+  EXPECT_EQ(spec.p, (std::vector<std::int64_t>{128}));
+  EXPECT_EQ(spec.w, (std::vector<std::int64_t>{32}));
+  EXPECT_EQ(spec.l, (std::vector<std::int64_t>{400}));
+  EXPECT_EQ(spec.d, (std::vector<std::int64_t>{4}));
+  EXPECT_FALSE(spec.machine.empty());
+  for (const run::Point& point : spec.expand()) {
+    EXPECT_EQ(point.machine, spec.topology);
+  }
+
+  // A trivial spec is its flags: same shape, no digest, same fingerprint.
+  GridSpec flags = small_spec();
+  flags.p = {128};
+  flags.w = {32};
+  flags.l = {200};
+  flags.d = {4};
+  GridSpec trivial = small_spec();
+  ASSERT_TRUE(trivial.adopt(std::make_shared<const topo::TopologySpec>(
+      topo::synthesize_topology("machine", 128, 32, 200, 4))));
+  EXPECT_TRUE(trivial.machine.empty());
+  EXPECT_EQ(trivial.fingerprint(), flags.fingerprint());
+
+  // Only the hmm model has DMMs to reshape; umm adopts nothing.
+  GridSpec umm = small_spec();
+  umm.model = "umm";
+  const GridSpec before = umm;
+  EXPECT_FALSE(umm.adopt(linked_topology()));
+  EXPECT_EQ(umm, before);
+}
+
 // ---------------------------------------------------------------------------
 // Manifest: plan, emit, parse
 // ---------------------------------------------------------------------------
@@ -203,6 +257,28 @@ TEST(Manifest, ParseRejectsInconsistentDocuments) {
   ASSERT_NE(points_at, std::string::npos);
   bad.replace(points_at, std::strlen("\"grid_points\": 8"),
               "\"grid_points\": 9");
+  EXPECT_THROW(run::parse_manifest_json(bad), PreconditionError);
+
+  // Axes and seed that break the axis rule are rejected even when the
+  // fingerprint matches them.
+  GridSpec zero_n = spec;
+  zero_n.n = {0};
+  GridSpec negative_p = spec;
+  negative_p.p = {-4};
+  for (const GridSpec& broken : {zero_n, negative_p}) {
+    EXPECT_THROW(run::parse_manifest_json(run::manifest_json(
+                     run::plan_manifest(broken, 2, "hmmsim",
+                                        sweep_csv_header(false, true)))),
+                 PreconditionError);
+  }
+  GridSpec wrapped = spec;
+  wrapped.seed = std::numeric_limits<std::uint64_t>::max();  // "seed": -1
+  bad = run::manifest_json(
+      run::plan_manifest(wrapped, 2, "hmmsim", sweep_csv_header(false, true)));
+  const auto seed_at = bad.find("\"seed\": 18446744073709551615");
+  ASSERT_NE(seed_at, std::string::npos);
+  bad.replace(seed_at, std::strlen("\"seed\": 18446744073709551615"),
+              "\"seed\": -1");
   EXPECT_THROW(run::parse_manifest_json(bad), PreconditionError);
 }
 

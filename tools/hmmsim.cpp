@@ -24,10 +24,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -57,64 +60,32 @@ using namespace hmm;
 
 namespace {
 
-/// One fully resolved operating point.
-struct Options {
-  std::string algorithm;
-  std::string model = "hmm";  // or "umm"
-  std::int64_t n = 1 << 16;
-  std::int64_t m = 32;
-  std::int64_t p = 2048;
-  std::int64_t w = 32;
-  std::int64_t l = 400;
-  std::int64_t d = 16;
-  std::uint64_t seed = 1;
-  bool csv = false;
-  bool fast_forward = true;
-  /// Resolved --machine topology; null for flag runs.  Trivial specs
-  /// only set the flat axes above, so they take the untouched flag path.
-  std::shared_ptr<const topo::TopologySpec> machine;
-};
-
-/// The command line before grid expansion: each axis is a value list.
+/// The command line: the sweep itself (algorithm, model, axes, seed,
+/// fast-forward, metrics, analyze, --machine) as one run::GridSpec, plus
+/// the runner and output choices around it.
 struct Cli {
-  std::string algorithm;
-  std::string model = "hmm";
-  std::vector<std::int64_t> n = {1 << 16};
-  std::vector<std::int64_t> m = {32};
-  std::vector<std::int64_t> p = {2048};
-  std::vector<std::int64_t> w = {32};
-  std::vector<std::int64_t> l = {400};
-  std::vector<std::int64_t> d = {16};
-  std::uint64_t seed = 1;
+  run::GridSpec grid;
   std::int64_t jobs = 1;
   bool csv = false;
-  bool fast_forward = true;                 ///< --fast-forward=on|off
   bool check = false;
   analysis::CheckerConfig check_cfg;
-  bool analyze = false;                     ///< --analyze[=plan,diff]
-  bool analyze_plan = false;
+  bool analyze_plan = false;                ///< --analyze[=plan,diff]
   bool analyze_diff = false;
   std::string trace_path;                   ///< empty: no trace export
   std::int64_t trace_capacity = 1 << 16;    ///< ring sink window (events)
-  bool metrics = false;
   bool metrics_csv = false;                 ///< --metrics=csv
   bool metrics_json = false;                ///< --metrics=json
   std::string connect;                      ///< --connect=ADDR: client mode
   std::int64_t telemetry = 0;               ///< --telemetry=N (connect only)
-  std::string machine_path;                 ///< --machine=FILE
   std::string machine_preset;               ///< --machine-preset=NAME (connect)
-  std::shared_ptr<const topo::TopologySpec> machine;  ///< resolved spec
   bool dry_run = false;                     ///< --dry-run: print + exit
   /// --p/--w/--l/--d given explicitly (a --machine file replaces these
   /// axes, so mixing the two spellings is a usage error, not a merge).
-  bool p_given = false;
-  bool w_given = false;
-  bool l_given = false;
-  bool d_given = false;
+  bool shape_given = false;
   std::string emit_manifest_path;           ///< --emit-manifest=FILE
   std::int64_t shards = 0;                  ///< --shards=K (with emit)
   bool sharded = false;                     ///< --shard=i/K given
-  run::ShardPlan shard;
+  run::ShardPlan shard;                     ///< default {0, 1}: every point
 };
 
 // Shared immutable workload cache: grid points differing only in machine
@@ -228,171 +199,153 @@ void print_version(const char* name) {
   std::printf("\n");
 }
 
-bool parse_analyze_modes(const char* s, Cli& cli) {
-  cli.analyze_plan = cli.analyze_diff = false;
-  std::string token;
-  for (const char* q = s;; ++q) {
-    if (*q == ',' || *q == '\0') {
-      if (token == "plan") cli.analyze_plan = true;
-      else if (token == "diff") cli.analyze_diff = true;
-      else return false;
-      token.clear();
-      if (*q == '\0') break;
-    } else {
-      token.push_back(*q);
-    }
+/// Hand each comma-separated token of `s` (empty ones included) to
+/// `take`; false as soon as `take` rejects one.
+template <class Take>
+bool for_each_token(std::string_view s, Take take) {
+  for (std::size_t comma; (comma = s.find(',')) != std::string_view::npos;
+       s.remove_prefix(comma + 1)) {
+    if (!take(s.substr(0, comma))) return false;
   }
-  return cli.analyze_plan || cli.analyze_diff;
+  return take(s);
 }
 
-bool parse_check_kinds(const char* s, analysis::CheckerConfig& cfg) {
-  cfg.race = cfg.bounds = cfg.conflict = false;
-  std::string token;
-  for (const char* q = s;; ++q) {
-    if (*q == ',' || *q == '\0') {
-      if (token == "race") cfg.race = true;
-      else if (token == "bounds") cfg.bounds = true;
-      else if (token == "conflict") cfg.conflict = true;
-      else return false;
-      token.clear();
-      if (*q == '\0') break;
-    } else {
-      token.push_back(*q);
+/// Parse a comma list of names (--check kinds, --analyze modes) into the
+/// flags they set, clearing the others first; false on an unknown name.
+bool parse_names(const char* s,
+                 std::initializer_list<std::pair<std::string_view, bool*>>
+                     names) {
+  for (const auto& [name, flag] : names) *flag = false;
+  return for_each_token(s, [&](std::string_view token) {
+    for (const auto& [name, flag] : names) {
+      if (token == name) return *flag = true;
     }
-  }
-  return cfg.race || cfg.bounds || cfg.conflict;
+    return false;
+  });
 }
 
 /// Parse a comma list of integers.  Rejects — by returning false, which
 /// the caller maps to the documented usage exit code — empty tokens,
-/// trailing garbage, values below `min_value` (axes must be >= 1; --jobs
-/// and --seed accept 0) and anything that overflows int64
-/// (std::from_chars reports out_of_range instead of saturating).
+/// trailing garbage, anything that overflows int64 (std::from_chars
+/// reports out_of_range instead of saturating) and lists that break the
+/// shared axis rule run::axis_error with `min_value` (axes must be >= 1;
+/// --jobs and --seed accept 0).
 bool parse_list(const char* s, std::vector<std::int64_t>& out,
                 std::int64_t min_value = 1) {
   out.clear();
-  std::string token;
-  for (const char* q = s;; ++q) {
-    if (*q == ',' || *q == '\0') {
-      if (token.empty()) return false;
-      std::int64_t value = 0;
-      const auto [end, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec != std::errc{} || end != token.data() + token.size() ||
-          value < min_value) {
-        return false;
-      }
-      out.push_back(value);
-      token.clear();
-      if (*q == '\0') break;
-    } else {
-      token.push_back(*q);
-    }
-  }
-  return !out.empty();
+  const bool numeric = for_each_token(s, [&](std::string_view token) {
+    std::int64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    out.push_back(value);
+    return ec == std::errc{} && end == token.data() + token.size();
+  });
+  return numeric && run::axis_error(out, min_value).empty();
+}
+
+/// One value under parse_list's rules.
+bool parse_scalar(const char* s, std::int64_t& out, std::int64_t min_value) {
+  std::vector<std::int64_t> one;
+  if (!parse_list(s, one, min_value) || one.size() != 1) return false;
+  out = one[0];
+  return true;
 }
 
 bool parse(int argc, char** argv, Cli& cli) {
   if (argc < 2) return false;
-  cli.algorithm = argv[1];
+  run::GridSpec& grid = cli.grid;
+  grid.algorithm = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Whether `a` spells "KEY=VALUE" for `key` ("--trace="); points `v`
+    // at the VALUE.
+    const char* v = nullptr;
+    auto keyed = [&](const char* key) {
+      if (a.rfind(key, 0) != 0) return false;
+      v = a.c_str() + std::strlen(key);
+      return true;
+    };
     if (a == "--csv") {
       cli.csv = true;
     } else if (a == "--fast-forward=on") {
-      cli.fast_forward = true;
+      grid.fast_forward = true;
     } else if (a == "--fast-forward=off") {
-      cli.fast_forward = false;
+      grid.fast_forward = false;
     } else if (a.rfind("--fast-forward", 0) == 0) {
       // "--fast-forward" bare or with any other value is a usage error,
       // not a silently ignored axis name.
       return false;
     } else if (a == "--metrics" || a == "--metrics=table") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_csv = false;
     } else if (a == "--metrics=csv") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_csv = true;
     } else if (a == "--metrics=json") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_json = true;
-    } else if (a.rfind("--connect=", 0) == 0) {
-      cli.connect = a.substr(std::strlen("--connect="));
+    } else if (keyed("--connect=")) {
+      cli.connect = v;
       if (cli.connect.empty()) return false;
-    } else if (a.rfind("--machine=", 0) == 0) {
-      cli.machine_path = a.substr(std::strlen("--machine="));
-      if (cli.machine_path.empty()) return false;
-    } else if (a.rfind("--machine-preset=", 0) == 0) {
-      cli.machine_preset = a.substr(std::strlen("--machine-preset="));
+    } else if (keyed("--machine=")) {
+      grid.machine_path = v;
+      if (grid.machine_path.empty()) return false;
+    } else if (keyed("--machine-preset=")) {
+      cli.machine_preset = v;
       if (cli.machine_preset.empty()) return false;
     } else if (a == "--dry-run") {
       cli.dry_run = true;
-    } else if (a.rfind("--telemetry=", 0) == 0) {
-      std::vector<std::int64_t> one;
-      if (!parse_list(a.c_str() + std::strlen("--telemetry="), one, 0) ||
-          one.size() != 1) {
-        return false;
-      }
-      cli.telemetry = one[0];
-    } else if (a.rfind("--trace=", 0) == 0) {
-      cli.trace_path = a.substr(std::strlen("--trace="));
+    } else if (keyed("--telemetry=")) {
+      if (!parse_scalar(v, cli.telemetry, 0)) return false;
+    } else if (keyed("--trace=")) {
+      cli.trace_path = v;
       if (cli.trace_path.empty()) return false;
-    } else if (a.rfind("--trace-capacity=", 0) == 0) {
+    } else if (keyed("--trace-capacity=")) {
       // A zero-capacity ring would silently keep no events; reject it.
-      std::vector<std::int64_t> one;
-      if (!parse_list(a.c_str() + std::strlen("--trace-capacity="), one, 1) ||
-          one.size() != 1) {
-        return false;
-      }
-      cli.trace_capacity = one[0];
-    } else if (a.rfind("--emit-manifest=", 0) == 0) {
-      cli.emit_manifest_path = a.substr(std::strlen("--emit-manifest="));
+      if (!parse_scalar(v, cli.trace_capacity, 1)) return false;
+    } else if (keyed("--emit-manifest=")) {
+      cli.emit_manifest_path = v;
       if (cli.emit_manifest_path.empty()) return false;
-    } else if (a.rfind("--shards=", 0) == 0) {
-      std::vector<std::int64_t> one;
-      if (!parse_list(a.c_str() + std::strlen("--shards="), one, 1) ||
-          one.size() != 1) {
-        return false;
-      }
-      cli.shards = one[0];
-    } else if (a.rfind("--shard=", 0) == 0) {
-      if (!run::parse_shard_spec(a.c_str() + std::strlen("--shard="),
-                                 cli.shard)) {
-        return false;
-      }
+    } else if (keyed("--shards=")) {
+      if (!parse_scalar(v, cli.shards, 1)) return false;
+    } else if (keyed("--shard=")) {
+      if (!run::parse_shard_spec(v, cli.shard)) return false;
       cli.sharded = true;
     } else if (a == "--analyze") {
-      cli.analyze = cli.analyze_plan = cli.analyze_diff = true;
-    } else if (a.rfind("--analyze=", 0) == 0) {
-      cli.analyze = true;
-      if (!parse_analyze_modes(a.c_str() + std::strlen("--analyze="), cli)) {
+      grid.analyze = cli.analyze_plan = cli.analyze_diff = true;
+    } else if (keyed("--analyze=")) {
+      grid.analyze = true;
+      if (!parse_names(v, {{"plan", &cli.analyze_plan},
+                           {"diff", &cli.analyze_diff}})) {
         return false;
       }
     } else if (a == "--check") {
       cli.check = true;
-    } else if (a.rfind("--check=", 0) == 0) {
+    } else if (keyed("--check=")) {
       cli.check = true;
-      if (!parse_check_kinds(a.c_str() + std::strlen("--check="),
-                             cli.check_cfg)) {
+      analysis::CheckerConfig& cfg = cli.check_cfg;
+      if (!parse_names(v, {{"race", &cfg.race},
+                           {"bounds", &cfg.bounds},
+                           {"conflict", &cfg.conflict}})) {
         return false;
       }
     } else if (a == "--model") {
-      const char* v = next();
+      v = next();
       if (!v) return false;
-      cli.model = v;
+      grid.model = v;
     } else {
-      const char* v = next();
+      v = next();
       if (!v) return false;
       std::vector<std::int64_t>* axis = nullptr;
-      if (a == "--n") axis = &cli.n;
-      else if (a == "--m") axis = &cli.m;
-      else if (a == "--p") { axis = &cli.p; cli.p_given = true; }
-      else if (a == "--w") { axis = &cli.w; cli.w_given = true; }
-      else if (a == "--l") { axis = &cli.l; cli.l_given = true; }
-      else if (a == "--d") { axis = &cli.d; cli.d_given = true; }
+      if (a == "--n") axis = &grid.n;
+      else if (a == "--m") axis = &grid.m;
+      else if (a == "--p") { axis = &grid.p; cli.shape_given = true; }
+      else if (a == "--w") { axis = &grid.w; cli.shape_given = true; }
+      else if (a == "--l") { axis = &grid.l; cli.shape_given = true; }
+      else if (a == "--d") { axis = &grid.d; cli.shape_given = true; }
       else if (a == "--seed" || a == "--jobs") {
         std::vector<std::int64_t> one;
         if (!parse_list(v, one, 0)) return false;
@@ -402,7 +355,7 @@ bool parse(int argc, char** argv, Cli& cli) {
           throw PreconditionError(a + " takes a single value, not a sweep "
                                       "list (got \"" + v + "\")");
         }
-        if (a == "--seed") cli.seed = static_cast<std::uint64_t>(one[0]);
+        if (a == "--seed") grid.seed = static_cast<std::uint64_t>(one[0]);
         else cli.jobs = one[0];
       }
       else return false;
@@ -412,22 +365,19 @@ bool parse(int argc, char** argv, Cli& cli) {
   // A --machine file REPLACES the machine-shape axes; mixing the two
   // spellings would silently make one of them win, so it is a usage
   // error instead (docs/TOPOLOGY.md "Flags and JSON are one vocabulary").
-  if (!cli.machine_path.empty() &&
-      (cli.p_given || cli.w_given || cli.l_given || cli.d_given)) {
-    return false;
-  }
+  if (!grid.machine_path.empty() && cli.shape_given) return false;
   // Presets live on the daemon: the name is meaningless locally, and a
   // preset already IS a machine description.
   if (!cli.machine_preset.empty() &&
-      (cli.connect.empty() || !cli.machine_path.empty())) {
+      (cli.connect.empty() || !grid.machine_path.empty())) {
     return false;
   }
   // --dry-run prints ONE machine document; sweep lists on the shape axes
   // have no single JSON equivalent, and client mode never simulates
   // locally anyway.
   if (cli.dry_run &&
-      (!cli.connect.empty() || cli.p.size() != 1 || cli.w.size() != 1 ||
-       cli.l.size() != 1 || cli.d.size() != 1)) {
+      (!cli.connect.empty() || grid.p.size() != 1 || grid.w.size() != 1 ||
+       grid.l.size() != 1 || grid.d.size() != 1)) {
     return false;
   }
   // --shards only modifies --emit-manifest, which in turn requires it;
@@ -437,67 +387,31 @@ bool parse(int argc, char** argv, Cli& cli) {
   if (!cli.emit_manifest_path.empty() && cli.sharded) return false;
   // --analyze and --check are distinct drivers with distinct exit-code
   // vocabularies; composing them would make a nonzero exit ambiguous.
-  if (cli.analyze && cli.check) return false;
+  if (grid.analyze && cli.check) return false;
   // Live telemetry streaming only exists on the service wire.
   if (cli.telemetry > 0 && cli.connect.empty()) return false;
   // Client mode ships the sweep vocabulary to the daemon; the local-only
   // drivers (checker, analyzer, trace export, sharding) stay local.
   if (!cli.connect.empty() &&
-      (cli.check || cli.analyze || !cli.trace_path.empty() || cli.sharded ||
+      (cli.check || grid.analyze || !cli.trace_path.empty() || cli.sharded ||
        !cli.emit_manifest_path.empty())) {
     return false;
   }
   // "dmm" is an analyze-only model: the shared-memory workloads
   // (transpose, permute) have no span driver in the sweep vocabulary.
-  if (cli.model == "dmm") return cli.analyze && cli.jobs >= 0;
-  return (cli.model == "umm" || cli.model == "hmm") && cli.jobs >= 0;
-}
-
-/// The sweep identity the manifest fingerprint covers (everything that
-/// determines the CSV rows; --jobs is runner-local and excluded).
-run::GridSpec grid_spec(const Cli& cli) {
-  run::GridSpec spec;
-  spec.algorithm = cli.algorithm;
-  spec.model = cli.model;
-  spec.n = cli.n;
-  spec.m = cli.m;
-  spec.p = cli.p;
-  spec.w = cli.w;
-  spec.l = cli.l;
-  spec.d = cli.d;
-  spec.seed = cli.seed;
-  spec.metrics = cli.metrics;
-  spec.fast_forward = cli.fast_forward;
-  spec.analyze = cli.analyze;
-  // Only a topology the engine can OBSERVE joins the fingerprint: a
-  // trivial spec is the same machine as its flags, so it hashes the same
-  // (and pre-topology fingerprints stay valid).  The file path is argv
-  // reconstruction material for shard runners, never identity.
-  if (cli.machine != nullptr && !cli.machine->is_trivial()) {
-    spec.machine = cli.machine->canonical();
-  }
-  spec.machine_path = cli.machine_path;
-  return spec;
+  if (grid.model == "dmm") return grid.analyze && cli.jobs >= 0;
+  return (grid.model == "umm" || grid.model == "hmm") && cli.jobs >= 0;
 }
 
 /// The static analyzer's operating point for one grid point.
-alg::PlanPoint plan_point(const Options& o) {
-  alg::PlanPoint point;
-  point.algorithm = o.algorithm;
-  point.model = o.model;
-  point.n = o.n;
-  point.m = o.m;
-  point.p = o.p;
-  point.w = o.w;
-  point.l = o.l;
-  point.d = o.d;
-  point.seed = o.seed;
-  return point;
+alg::PlanPoint plan_point(const run::Point& o) {
+  return {.algorithm = o.algorithm, .model = o.model, .n = o.n, .m = o.m,
+          .p = o.p, .w = o.w, .l = o.l, .d = o.d, .seed = o.seed};
 }
 
 /// The three static CSV columns for one sweep point; "none" when the
 /// (algorithm, model) pair has no registered plan twin (matmul, match).
-SweepStaticVerdict static_verdict_for(const Options& o) {
+SweepStaticVerdict static_verdict_for(const run::Point& o) {
   SweepStaticVerdict v;
   const auto plan = alg::build_access_plan(plan_point(o));
   if (!plan) return v;
@@ -509,69 +423,66 @@ SweepStaticVerdict static_verdict_for(const Options& o) {
   return v;
 }
 
-/// Cartesian grid in row-major (n, m, p, w, l, d) order.
-std::vector<Options> expand_grid(const Cli& cli) {
-  std::vector<Options> grid;
-  for (std::int64_t n : cli.n)
-    for (std::int64_t m : cli.m)
-      for (std::int64_t p : cli.p)
-        for (std::int64_t w : cli.w)
-          for (std::int64_t l : cli.l)
-            for (std::int64_t d : cli.d) {
-              Options o;
-              o.algorithm = cli.algorithm;
-              o.model = cli.model;
-              o.n = n;
-              o.m = m;
-              o.p = p;
-              o.w = w;
-              o.l = l;
-              o.d = d;
-              o.seed = cli.seed;
-              o.csv = cli.csv;
-              o.fast_forward = cli.fast_forward;
-              o.machine = cli.machine;
-              grid.push_back(std::move(o));
-            }
-  return grid;
-}
-
+/// One evaluated grid point: the shared dispatcher's outcome plus what
+/// --metrics and --analyze add to its row.
 struct Outcome {
-  Cycle time = 0;
-  std::int64_t global_stages = 0;
-  std::int64_t ff_rounds = 0;  ///< RunReport::fast_forward.replayed_rounds
-  std::string summary;
-  std::optional<MetricsSnapshot> metrics;  ///< --metrics only
-  std::optional<SweepStaticVerdict> analyze;  ///< --analyze sweeps only
+  run::PointOutcome result;
+  std::optional<MetricsSnapshot> metrics;
+  std::optional<SweepStaticVerdict> analyze;
 };
-
-run::Point to_point(const Options& o) {
-  run::Point point;
-  point.algorithm = o.algorithm;
-  point.model = o.model;
-  point.n = o.n;
-  point.m = o.m;
-  point.p = o.p;
-  point.w = o.w;
-  point.l = o.l;
-  point.d = o.d;
-  point.seed = o.seed;
-  point.fast_forward = o.fast_forward;
-  point.machine = o.machine;
-  return point;
-}
 
 /// Execute one grid point through the shared dispatcher (run/point.hpp)
 /// — the same code path the hmmsimd service runs, which is what makes
-/// `--connect` output byte-identical to a local run.
-Outcome run_algorithm(const Options& o, EngineObserver* observer = nullptr) {
-  const run::PointOutcome r = run::run_point(to_point(o), workloads, observer);
+/// `--connect` output byte-identical to a local run — collecting what
+/// the grid's metrics and analyze flags ask for.  `trace`, when
+/// non-null, observes the run too.
+Outcome evaluate(const run::Point& point, const run::GridSpec& grid,
+                 EngineObserver* trace = nullptr) {
+  telemetry::MetricsRegistry registry;
+  telemetry::ObserverFanout fanout;
+  fanout.add(trace);
+  if (grid.metrics) fanout.add(&registry);
   Outcome out;
-  out.time = r.time;
-  out.global_stages = r.global_stages;
-  out.ff_rounds = r.ff_rounds;
-  out.summary = r.summary;
+  out.result = run::run_point(point, workloads,
+                              fanout.empty() ? nullptr : &fanout);
+  if (grid.metrics) out.metrics = registry.snapshot();
+  if (grid.analyze) out.analyze = static_verdict_for(point);
   return out;
+}
+
+/// One sweep CSV row through the shared schema (report/sweep_csv.hpp),
+/// so sharded and single-process rows can never drift apart.
+void print_csv_row(const run::Point& o, const Outcome& out,
+                   const ShardTag* tag = nullptr) {
+  const SweepPoint point{o.algorithm, o.model, o.n, o.m,
+                         o.p,         o.w,     o.l, o.d};
+  SweepMeasurement measured{out.result.time, out.result.global_stages,
+                            out.result.ff_rounds,
+                            out.metrics ? &*out.metrics : nullptr};
+  if (out.analyze) measured.analyze = &*out.analyze;
+  std::printf("%s\n", sweep_csv_row(point, measured, tag).c_str());
+}
+
+/// The "sum on hmm(n=.., m=.., p=.., w=.., l=.., d=..)" line that opens
+/// single-point reports, followed by `suffix`.
+void print_point_line(const run::Point& o, const char* suffix) {
+  std::printf("%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)%s",
+              o.algorithm.c_str(), o.model.c_str(),
+              static_cast<long long>(o.n), static_cast<long long>(o.m),
+              static_cast<long long>(o.p), static_cast<long long>(o.w),
+              static_cast<long long>(o.l), static_cast<long long>(o.d),
+              suffix);
+}
+
+/// The human single-point report, local and --connect alike.
+void print_point(const run::Point& o, const run::PointOutcome& out) {
+  print_point_line(o, "\n");
+  std::printf("  %s\n", out.summary.c_str());
+  std::printf("  time: %lld time units, global pipeline stages: %lld"
+              ", fast-forwarded rounds: %lld\n",
+              static_cast<long long>(out.time),
+              static_cast<long long>(out.global_stages),
+              static_cast<long long>(out.ff_rounds));
 }
 
 void write_trace_file(const std::string& path,
@@ -593,26 +504,18 @@ void print_table(const Table& table) {
 /// conflicting: --metrics and --trace ride along through an
 /// ObserverFanout, so one checked run can also produce the metrics
 /// tables and a Chrome trace.
-int run_checked(const Options& o, const Cli& cli) {
+int run_checked(const run::Point& o, const Cli& cli) {
   const analysis::CheckerConfig& cfg = cli.check_cfg;
   const bool hmm_model = o.model == "hmm";
   // A non-trivial --machine topology reshapes the DMMs through the same
-  // overlay run_point registers; the flat pd below then only sizes the
-  // machine's BASE shape (the overlay overrides per-DMM thread counts
-  // and takes the max of size floors).
-  const bool overlaid = o.machine != nullptr && !o.machine->is_trivial();
-  const std::int64_t pd =
-      hmm_model ? (overlaid ? o.machine->max_threads_per_dmm() : o.p / o.d)
-                : 0;
-  if (hmm_model && !overlaid && (o.p % o.d != 0 || pd < 1)) {
-    throw PreconditionError("--p must be a positive multiple of --d");
-  }
+  // overlay run_point registers; the per-DMM thread count then only
+  // sizes the machine's BASE shape (the overlay overrides per-DMM thread
+  // counts and takes the max of size floors).
+  const run::HmmShape shape(o);
+  const std::int64_t pd = shape.threads_per_dmm();
   if (o.algorithm != "sum" && o.algorithm != "sort") {
     throw PreconditionError("--check supports algorithms: sum, sort");
   }
-  std::optional<MachineOverlay> overlay;
-  if (overlaid) overlay.emplace(o.machine->overlay());
-  const MachineOverlayScope overlay_scope(overlay ? &*overlay : nullptr);
 
   // Paper-optimal cost bounds to certify against: the sum kernels are
   // fully conflict-free and coalesced (Theorem 7); every bitonic stage
@@ -650,12 +553,12 @@ int run_checked(const Options& o, const Cli& cli) {
   telemetry::ObserverFanout fanout;
   fanout.add(&checker);
   if (!cli.trace_path.empty()) fanout.add(&sink);
-  if (cli.metrics) fanout.add(&registry);
+  if (cli.grid.metrics) fanout.add(&registry);
   machine.set_observer(fanout.size() > 1
                            ? static_cast<EngineObserver*>(&fanout)
                            : static_cast<EngineObserver*>(&checker));
 
-  Outcome out;
+  run::PointOutcome out;
   if (o.algorithm == "sum") {
     const auto r = hmm_model ? alg::sum_hmm(machine, o.n)
                              : alg::sum_mm(machine, MemorySpace::kGlobal, 0,
@@ -689,7 +592,7 @@ int run_checked(const Options& o, const Cli& cli) {
   // Telemetry output rides along even when findings map to a nonzero
   // exit code below — a failed check is exactly when the trace helps.
   if (!cli.trace_path.empty()) write_trace_file(cli.trace_path, sink);
-  if (cli.metrics) print_metrics_mode(cli, registry.snapshot());
+  if (cli.grid.metrics) print_metrics_mode(cli, registry.snapshot());
 
   using analysis::FindingKind;
   if (checker.count(FindingKind::kRace) > 0) return kExitRace;
@@ -717,7 +620,7 @@ int run_checked(const Options& o, const Cli& cli) {
 /// histograms batch-for-batch (diff mode).  Exit codes: a static/
 /// dynamic disagreement (a bug in the twin or the evaluator) beats a
 /// refuted claim (a property of the workload) beats success.
-int run_analyze(const Options& o, const Cli& cli) {
+int run_analyze(const run::Point& o, const Cli& cli) {
   const alg::PlanPoint point = plan_point(o);
   const auto plan = alg::build_access_plan(point);
   if (!plan.has_value()) {
@@ -733,12 +636,7 @@ int run_analyze(const Options& o, const Cli& cli) {
   const analysis::StaticReport report = analysis::evaluate(*plan);
   const bool refuted = !analysis::satisfies_claims(*plan, report);
 
-  std::printf("%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld) "
-              "under --analyze\n\n",
-              o.algorithm.c_str(), o.model.c_str(),
-              static_cast<long long>(o.n), static_cast<long long>(o.m),
-              static_cast<long long>(o.p), static_cast<long long>(o.w),
-              static_cast<long long>(o.l), static_cast<long long>(o.d));
+  print_point_line(o, " under --analyze\n\n");
   if (cli.analyze_plan) {
     print_table(certificate_table(report));
     std::printf("\n");
@@ -883,28 +781,10 @@ int client_control(const std::string& spec, const std::string& verb) {
 /// live).  Telemetry and drop frames go to stderr as raw NDJSON; stdout
 /// stays byte-identical (locked by tools/service_roundtrip.sh).
 int client_run(const Cli& cli) {
-  const std::vector<Options> grid = expand_grid(cli);
-  if (cli.metrics_json && grid.size() != 1) {
-    std::fprintf(stderr,
-                 "error: --metrics=json prints one object for a single "
-                 "operating point, not a sweep\n");
-    return 2;
-  }
   service::Client client;
   client.connect(service::parse_address(cli.connect));
-  service::RunRequest request;
+  service::RunRequest request = service::run_request(cli.grid);
   request.id = "cli";
-  request.algorithm = cli.algorithm;
-  request.model = cli.model;
-  request.n = cli.n;
-  request.m = cli.m;
-  request.p = cli.p;
-  request.w = cli.w;
-  request.l = cli.l;
-  request.d = cli.d;
-  request.seed = cli.seed;
-  request.fast_forward = cli.fast_forward;
-  request.metrics = cli.metrics;
   request.telemetry = cli.telemetry;
   // A local --machine file travels as its normalized inline document;
   // --machine-preset ships just the name and the daemon resolves it
@@ -912,8 +792,8 @@ int client_run(const Cli& cli) {
   // p/w/l/d from the spec, exactly as this process would locally.
   if (!cli.machine_preset.empty()) {
     request.machine_preset = cli.machine_preset;
-  } else if (cli.machine != nullptr) {
-    request.machine = cli.machine->document();
+  } else if (cli.grid.topology != nullptr) {
+    request.machine = cli.grid.topology->document();
   }
   client.send(request);
 
@@ -946,7 +826,7 @@ int client_run(const Cli& cli) {
       // Sweeps print a header unless --csv asked for bare rows — the
       // same rule the local sweep path follows.
       if (grid_points > 1 && !cli.csv) {
-        std::printf("%s\n", sweep_csv_header(cli.metrics, false).c_str());
+        std::printf("%s\n", sweep_csv_header(cli.grid.metrics, false).c_str());
       }
     } else if (const auto* result =
                    std::get_if<service::ResultFrame>(&*frame)) {
@@ -984,23 +864,13 @@ int client_run(const Cli& cli) {
       std::fprintf(stderr, "error: no result frame received\n");
       return 1;
     }
-    const Options& opt = grid.front();
     if (cli.csv) {
       std::printf("%s\n", single_result->row.c_str());
     } else {
-      std::printf(
-          "%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)\n",
-          opt.algorithm.c_str(), opt.model.c_str(),
-          static_cast<long long>(opt.n), static_cast<long long>(opt.m),
-          static_cast<long long>(opt.p), static_cast<long long>(opt.w),
-          static_cast<long long>(opt.l), static_cast<long long>(opt.d));
-      std::printf("  %s\n", single_result->summary.c_str());
-      std::printf("  time: %lld time units, global pipeline stages: %lld"
-                  ", fast-forwarded rounds: %lld\n",
-                  static_cast<long long>(single_result->time),
-                  static_cast<long long>(single_result->global_stages),
-                  static_cast<long long>(single_result->ff_rounds));
-      if (cli.metrics && single_metrics) {
+      print_point(cli.grid.expand().front(),
+                  {single_result->time, single_result->global_stages,
+                   single_result->ff_rounds, single_result->summary});
+      if (cli.grid.metrics && single_metrics) {
         print_metrics_mode(cli, *single_metrics);
       }
     }
@@ -1009,20 +879,6 @@ int client_run(const Cli& cli) {
 }
 
 }  // namespace
-
-/// One sweep CSV row through the shared schema (report/sweep_csv.hpp),
-/// so sharded and single-process rows can never drift apart.
-void print_csv_row(const Options& opt, const Outcome& out, bool metrics,
-                   const ShardTag* tag = nullptr) {
-  const SweepPoint point{opt.algorithm, opt.model, opt.n, opt.m,
-                         opt.p,         opt.w,     opt.l, opt.d};
-  const MetricsSnapshot snapshot =
-      metrics ? out.metrics.value_or(MetricsSnapshot{}) : MetricsSnapshot{};
-  SweepMeasurement measured{out.time, out.global_stages, out.ff_rounds,
-                            metrics ? &snapshot : nullptr};
-  if (out.analyze.has_value()) measured.analyze = &*out.analyze;
-  std::printf("%s\n", sweep_csv_row(point, measured, tag).c_str());
-}
 
 int main(int argc, char** argv) {
   // --version and the service control verbs bypass the sweep parser:
@@ -1051,55 +907,53 @@ int main(int argc, char** argv) {
     }
     if (!parse(argc, argv, cli)) return usage(argv[0]);
 
+    run::GridSpec& grid = cli.grid;
+
     // Resolve --machine before anything consumes the axes: the spec
     // REPLACES the flat tuple, so every downstream surface (sweeps,
     // shards, --check, --connect, fingerprints) sees one vocabulary.
-    if (!cli.machine_path.empty()) {
-      cli.machine = std::make_shared<const topo::TopologySpec>(
-          topo::parse_topology_file(cli.machine_path));
-      cli.p = {cli.machine->total_threads()};
-      cli.w = {cli.machine->width};
-      cli.l = {cli.machine->global_latency};
-      cli.d = {cli.machine->total_dmms()};
+    std::shared_ptr<const topo::TopologySpec> machine;
+    if (!grid.machine_path.empty()) {
+      machine = std::make_shared<const topo::TopologySpec>(
+          topo::parse_topology_file(grid.machine_path));
     }
     if (cli.dry_run) {
       // Validation mode: print the normalized document — for plain flags,
       // the synthesized equivalent, which is how docs/TOPOLOGY.md
       // demonstrates that flags and JSON are the same machine.
       const topo::TopologySpec spec =
-          cli.machine != nullptr
-              ? *cli.machine
-              : topo::synthesize_topology("machine", cli.p[0], cli.w[0],
-                                          cli.l[0], cli.d[0]);
+          machine != nullptr
+              ? *machine
+              : topo::synthesize_topology("machine", grid.p[0], grid.w[0],
+                                          grid.l[0], grid.d[0]);
       std::printf("%s\n", spec.document().c_str());
       return 0;
     }
-    if (cli.machine != nullptr && !cli.machine->is_trivial()) {
-      if (cli.model != "hmm") {
-        std::fprintf(stderr,
-                     "error: --machine topologies with per-DMM overrides or "
-                     "links require --model hmm\n");
-        return 2;
-      }
-      if (cli.analyze) {
-        std::fprintf(stderr,
-                     "error: --analyze prices the flat paper machine; it "
-                     "does not compose with a non-trivial --machine "
-                     "topology\n");
-        return 2;
-      }
+    if (!grid.adopt(machine)) {
+      std::fprintf(stderr,
+                   "error: --machine topologies with per-DMM overrides or "
+                   "links require --model hmm\n");
+      return 2;
     }
-    if (!cli.connect.empty()) return client_run(cli);
-    const std::vector<Options> grid = expand_grid(cli);
+    // The digest is set only for a topology the flags cannot express.
+    if (!grid.machine.empty() && grid.analyze) {
+      std::fprintf(stderr,
+                   "error: --analyze prices the flat paper machine; it "
+                   "does not compose with a non-trivial --machine "
+                   "topology\n");
+      return 2;
+    }
 
     // --metrics=json is the single-run JSON mode; a sweep's metrics ride
     // the CSV columns instead.
-    if (cli.metrics_json && (grid.size() != 1 || cli.sharded)) {
+    if (cli.metrics_json && (grid.points() != 1 || cli.sharded)) {
       std::fprintf(stderr,
                    "error: --metrics=json prints one object for a single "
                    "operating point, not a sweep\n");
       return 2;
     }
+    if (!cli.connect.empty()) return client_run(cli);
+    const std::vector<run::Point> points = grid.expand();
 
     // Plan-only mode: write the K-shard job manifest and exit without
     // simulating anything.
@@ -1110,10 +964,9 @@ int main(int argc, char** argv) {
                      "(not --check/--trace)\n");
         return 2;
       }
-      const run::GridSpec spec = grid_spec(cli);
       const run::Manifest manifest = run::plan_manifest(
-          spec, cli.shards, "hmmsim",
-          sweep_csv_header(cli.metrics, true, cli.analyze));
+          grid, cli.shards, "hmmsim",
+          sweep_csv_header(grid.metrics, true, grid.analyze));
       std::ofstream out(cli.emit_manifest_path);
       if (!out) {
         throw PreconditionError("cannot open manifest file: " +
@@ -1139,18 +992,18 @@ int main(int argc, char** argv) {
                      "error: --check does not compose with --shard\n");
         return 2;
       }
-      if (grid.size() != 1) {
+      if (points.size() != 1) {
         std::fprintf(stderr,
                      "error: --check needs a single operating point, not a "
                      "sweep\n");
         return 2;
       }
-      return run_checked(grid.front(), cli);
+      return run_checked(points.front(), cli);
     }
 
     // The dmm model exists only in the analyzer's vocabulary, and its
     // workloads are single-point (no span driver to sweep).
-    if (cli.model == "dmm" && (grid.size() != 1 || cli.sharded)) {
+    if (grid.model == "dmm" && (points.size() != 1 || cli.sharded)) {
       std::fprintf(stderr,
                    "error: --model dmm analyzes a single operating point, "
                    "not a sweep\n");
@@ -1160,118 +1013,57 @@ int main(int argc, char** argv) {
     // Single-point --analyze prints the certificate (and diff) tables;
     // with --csv it instead rides the sweep row format, static columns
     // included, so scripts get one schema whatever the grid size.
-    if (cli.analyze && grid.size() == 1 && !cli.sharded && !cli.csv) {
-      return run_analyze(grid.front(), cli);
+    if (grid.analyze && points.size() == 1 && !cli.sharded && !cli.csv) {
+      return run_analyze(points.front(), cli);
     }
 
-    // Shard mode: run only the owned grid points and emit sharded CSV
-    // (header + grid_index,shard,fingerprint columns) for hmm-merge.
-    // Always CSV with a header, whatever the grid size: the merge tool
-    // validates header consistency across every shard file.
-    if (cli.sharded) {
-      if (!cli.trace_path.empty()) {
-        std::fprintf(stderr,
-                     "error: --trace needs a single operating point, not a "
-                     "shard run\n");
-        return 2;
-      }
-      const run::GridSpec spec = grid_spec(cli);
-      const std::string fingerprint = spec.fingerprint();
-      const std::vector<std::int64_t> own =
-          cli.shard.indices(static_cast<std::int64_t>(grid.size()));
-      std::vector<Outcome> outcomes(own.size());
-      const run::SweepRunner pool(cli.jobs);
-      pool.for_each(static_cast<std::int64_t>(own.size()),
-                    [&](std::int64_t i) {
-                      const Options& opt =
-                          grid[static_cast<std::size_t>(
-                              own[static_cast<std::size_t>(i)])];
-                      Outcome& out = outcomes[static_cast<std::size_t>(i)];
-                      if (cli.metrics) {
-                        telemetry::MetricsRegistry registry;
-                        out = run_algorithm(opt, &registry);
-                        out.metrics = registry.snapshot();
-                      } else {
-                        out = run_algorithm(opt);
-                      }
-                      if (cli.analyze) out.analyze = static_verdict_for(opt);
-                    });
-      std::printf("%s\n",
-                  sweep_csv_header(cli.metrics, true, cli.analyze).c_str());
-      for (std::size_t i = 0; i < own.size(); ++i) {
-        const ShardTag tag{own[i], cli.shard.shard, fingerprint};
-        print_csv_row(grid[static_cast<std::size_t>(own[i])], outcomes[i],
-                      cli.metrics, &tag);
-      }
-      return 0;
-    }
-
-    if (grid.size() == 1) {
-      const Options& opt = grid.front();
-
+    if (points.size() == 1 && !cli.sharded) {
+      const run::Point& point = points.front();
       telemetry::RingBufferSink sink(cli.trace_capacity);
-      telemetry::MetricsRegistry registry;
-      telemetry::ObserverFanout fanout;
-      if (!cli.trace_path.empty()) fanout.add(&sink);
-      if (cli.metrics) fanout.add(&registry);
-      EngineObserver* observer = fanout.empty() ? nullptr : &fanout;
-
-      Outcome out = run_algorithm(opt, observer);
-      if (cli.metrics) out.metrics = registry.snapshot();
-      if (cli.analyze) out.analyze = static_verdict_for(opt);
-      if (opt.csv) {
-        print_csv_row(opt, out, cli.metrics);
+      const Outcome out =
+          evaluate(point, grid, cli.trace_path.empty() ? nullptr : &sink);
+      if (cli.csv) {
+        print_csv_row(point, out);
       } else {
-        std::printf(
-            "%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)\n",
-            opt.algorithm.c_str(), opt.model.c_str(),
-            static_cast<long long>(opt.n), static_cast<long long>(opt.m),
-            static_cast<long long>(opt.p), static_cast<long long>(opt.w),
-            static_cast<long long>(opt.l), static_cast<long long>(opt.d));
-        std::printf("  %s\n", out.summary.c_str());
-        std::printf("  time: %lld time units, global pipeline stages: %lld"
-                    ", fast-forwarded rounds: %lld\n",
-                    static_cast<long long>(out.time),
-                    static_cast<long long>(out.global_stages),
-                    static_cast<long long>(out.ff_rounds));
+        print_point(point, out.result);
       }
       if (!cli.trace_path.empty()) write_trace_file(cli.trace_path, sink);
-      if (cli.metrics && !opt.csv) print_metrics_mode(cli, *out.metrics);
+      if (grid.metrics && !cli.csv) print_metrics_mode(cli, *out.metrics);
       return 0;
     }
 
     if (!cli.trace_path.empty()) {
       std::fprintf(stderr,
                    "error: --trace needs a single operating point, not a "
-                   "sweep\n");
+                   "%s\n",
+                   cli.sharded ? "shard run" : "sweep");
       return 2;
     }
 
-    // Sweep: evaluate every grid point across the pool, then print rows
-    // in grid order (results are deterministic at any job count).  With
-    // --metrics each point gets its own registry (workers run
-    // concurrently) and its snapshot rides along in the outcome.
-    std::vector<Outcome> outcomes(grid.size());
+    // Sweep: evaluate every owned grid point (all of them unless --shard
+    // picked a round-robin share) across the pool, then print rows in
+    // grid order — results are deterministic at any job count.  Shard
+    // runs always print a header and tag rows with grid_index, shard and
+    // fingerprint for hmm-merge, which checks header consistency across
+    // every shard file.
+    const std::vector<std::int64_t> own =
+        cli.shard.indices(static_cast<std::int64_t>(points.size()));
+    std::vector<Outcome> outcomes(own.size());
     const run::SweepRunner pool(cli.jobs);
-    pool.for_each(static_cast<std::int64_t>(grid.size()),
-                  [&](std::int64_t i) {
-                    const Options& opt = grid[static_cast<std::size_t>(i)];
-                    Outcome& out = outcomes[static_cast<std::size_t>(i)];
-                    if (cli.metrics) {
-                      telemetry::MetricsRegistry registry;
-                      out = run_algorithm(opt, &registry);
-                      out.metrics = registry.snapshot();
-                    } else {
-                      out = run_algorithm(opt);
-                    }
-                    if (cli.analyze) out.analyze = static_verdict_for(opt);
-                  });
-    if (!cli.csv) {
-      std::printf("%s\n",
-                  sweep_csv_header(cli.metrics, false, cli.analyze).c_str());
+    pool.for_each(static_cast<std::int64_t>(own.size()), [&](std::int64_t i) {
+      const auto k = static_cast<std::size_t>(i);
+      outcomes[k] = evaluate(points[static_cast<std::size_t>(own[k])], grid);
+    });
+    if (cli.sharded || !cli.csv) {
+      std::printf("%s\n", sweep_csv_header(grid.metrics, cli.sharded,
+                                            grid.analyze)
+                              .c_str());
     }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      print_csv_row(grid[i], outcomes[i], cli.metrics);
+    const std::string fingerprint = grid.fingerprint();
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      const ShardTag tag{own[i], cli.shard.shard, fingerprint};
+      print_csv_row(points[static_cast<std::size_t>(own[i])], outcomes[i],
+                    cli.sharded ? &tag : nullptr);
     }
     return 0;
   } catch (const topo::TopologySpecError& e) {
