@@ -39,7 +39,7 @@ int run_ablation() {
       static_cast<std::int64_t>(sls.size()), [&](std::int64_t i) {
         const auto idx = static_cast<std::size_t>(i);
         Machine m = Machine::hmm(w, l, d, pd, std::max<std::int64_t>(pd, d),
-                                 n + d, /*record_trace=*/false, sls[idx]);
+                                 n + d, sls[idx]);
         m.global_memory().load(0, xs);
         const auto r = alg::sum_hmm(m, n);
         makespans[idx] = r.report.makespan;

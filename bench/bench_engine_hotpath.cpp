@@ -222,82 +222,6 @@ TelemetryOverheadResult measure_telemetry_overhead(std::int64_t n,
   return r;
 }
 
-struct ArenaResult {
-  std::int64_t threads = 0;
-  std::int64_t barriers = 0;
-  std::int64_t subcalls = 0;             // device-subroutine calls/thread
-  double seconds_per_run_off = 0.0;      // use_frame_arena = false
-  double seconds_per_run_on = 0.0;       // use_frame_arena = true
-  double best_seconds_per_run_off = 0.0;
-  double best_seconds_per_run_on = 0.0;
-  double speedup = 0.0;                  // best_off / best_on
-};
-
-/// BarrierRound-class workload — p threads ping-ponging through
-/// `barriers` DMM barriers, each round calling a device subroutine (one
-/// SubTask frame per call) — on two otherwise identical machines, frame
-/// arena on vs off, interleaved run-for-run.  This is the
-/// allocation/resume-bound path the arena targets (docs/PERF.md); the
-/// two sides must agree on the makespan, which doubles as the guard
-/// that the arena changes no observable behaviour.
-ArenaResult measure_arena(std::int64_t p, std::int64_t barriers,
-                          std::int64_t reps) {
-  ArenaResult r;
-  r.threads = p;
-  r.barriers = barriers;
-  r.subcalls = barriers;
-
-  MachineConfig cfg;
-  cfg.width = 32;
-  cfg.threads_per_dmm = {p};
-  cfg.shared = MemorySpec{64, 1};
-  Machine on(cfg);
-  cfg.use_frame_arena = false;
-  Machine off(cfg);
-
-  struct Kernels {
-    static SubTask tick(ThreadCtx& t) { co_await t.compute(); }
-  };
-  const auto kernel = [barriers](ThreadCtx& t) -> SimTask {
-    for (std::int64_t i = 0; i < barriers; ++i) {
-      co_await Kernels::tick(t);
-      co_await t.barrier();
-    }
-  };
-
-  const Cycle makespan_on = on.run(kernel).makespan;   // also warm-up
-  const Cycle makespan_off = off.run(kernel).makespan;
-  if (makespan_on != makespan_off) {
-    std::fprintf(stderr,
-                 "FATAL: arena-on and arena-off runs disagree on makespan "
-                 "(%lld vs %lld)\n",
-                 static_cast<long long>(makespan_on),
-                 static_cast<long long>(makespan_off));
-    std::exit(1);
-  }
-
-  double off_total = 0.0, on_total = 0.0, best_off = 0.0, best_on = 0.0;
-  for (std::int64_t i = 0; i < reps; ++i) {
-    const auto t_off = Clock::now();
-    off.run(kernel);
-    const double dt_off = seconds_since(t_off);
-    off_total += dt_off;
-    if (i == 0 || dt_off < best_off) best_off = dt_off;
-
-    const auto t_on = Clock::now();
-    on.run(kernel);
-    const double dt_on = seconds_since(t_on);
-    on_total += dt_on;
-    if (i == 0 || dt_on < best_on) best_on = dt_on;
-  }
-  r.seconds_per_run_off = off_total / static_cast<double>(reps);
-  r.seconds_per_run_on = on_total / static_cast<double>(reps);
-  r.best_seconds_per_run_off = best_off;
-  r.best_seconds_per_run_on = best_on;
-  r.speedup = r.best_seconds_per_run_off / r.best_seconds_per_run_on;
-  return r;
-}
-
 struct FastForwardResult {
   std::int64_t d = 0, pd = 0, w = 0, m = 0, n = 0;
   double seconds_per_run_off = 0.0;      // --fast-forward=off
@@ -554,17 +478,6 @@ int run_bench(int argc, char** argv) {
       static_cast<long long>(tele.ring_dropped),
       1e3 * tele.seconds_per_run_metrics, tele.metrics_ratio);
 
-  const std::int64_t p_arena = smoke ? 256 : 2048;
-  const std::int64_t barriers = smoke ? 8 : 32;
-  const ArenaResult arena =
-      measure_arena(p_arena, barriers, smoke ? 3 : reps);
-  std::printf(
-      "arena      : off %.3f ms/run, on %.3f ms/run, speedup %.2fx "
-      "(best-of-reps, p=%lld, %lld barriers)\n",
-      1e3 * arena.seconds_per_run_off, 1e3 * arena.seconds_per_run_on,
-      arena.speedup, static_cast<long long>(arena.threads),
-      static_cast<long long>(arena.barriers));
-
   // Full config: 512 single-warp DMMs keep every warp in the exclusive
   // fused-replay regime while the off path round-robins 512 coroutine
   // frame sets through the cache; n % d == 0 and m <= n/d (Corollary 10)
@@ -646,15 +559,6 @@ int run_bench(int argc, char** argv) {
       "    \"ring_kept\": %lld,\n"
       "    \"ring_dropped\": %lld\n"
       "  },\n"
-      "  \"arena\": {\n"
-      "    \"workload\": \"barrier_round_subtask\",\n"
-      "    \"threads\": %lld, \"barriers\": %lld, \"subcalls\": %lld,\n"
-      "    \"seconds_per_run_off\": %.6g,\n"
-      "    \"seconds_per_run_on\": %.6g,\n"
-      "    \"best_seconds_per_run_off\": %.6g,\n"
-      "    \"best_seconds_per_run_on\": %.6g,\n"
-      "    \"speedup\": %.6g\n"
-      "  },\n"
       "  \"fast_forward\": {\n"
       "    \"workload\": \"hmm_convolution\",\n"
       "    \"d\": %lld, \"pd\": %lld, \"w\": %lld, \"m\": %lld, "
@@ -702,12 +606,6 @@ int run_bench(int argc, char** argv) {
       static_cast<long long>(tele.ring_capacity),
       static_cast<long long>(tele.ring_kept),
       static_cast<long long>(tele.ring_dropped),
-      static_cast<long long>(arena.threads),
-      static_cast<long long>(arena.barriers),
-      static_cast<long long>(arena.subcalls),
-      arena.seconds_per_run_off, arena.seconds_per_run_on,
-      arena.best_seconds_per_run_off, arena.best_seconds_per_run_on,
-      arena.speedup,
       static_cast<long long>(ff.d), static_cast<long long>(ff.pd),
       static_cast<long long>(ff.w), static_cast<long long>(ff.m),
       static_cast<long long>(ff.n),
@@ -755,19 +653,6 @@ int run_bench(int argc, char** argv) {
                  "FATAL: detached-observer run is %.2fx the plain baseline "
                  "(limit %.2fx) — the no-telemetry hot path regressed\n",
                  detached_ratio, detached_limit);
-    return 1;
-  }
-  // Arena guard: the frame arena must SPEED UP the barrier-round
-  // workload.  Same statistics discipline as the telemetry guard:
-  // best-of-reps on both sides, a tolerant bound for 3-rep smoke
-  // timings on loaded boxes, a meaningful one for full runs.
-  const double arena_limit = smoke ? 0.75 : 1.10;
-  if (arena.speedup < arena_limit) {
-    std::fprintf(stderr,
-                 "FATAL: arena-on barrier round is only %.2fx the arena-off "
-                 "path (limit %.2fx) — the frame arena stopped paying for "
-                 "itself\n",
-                 arena.speedup, arena_limit);
     return 1;
   }
   // Fast-forward guard: verified replay must keep delivering a large

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "machine/machine.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -17,8 +18,9 @@ int run() {
                 "W(0) spans 3 address groups, W(1) is coalesced; total "
                 "3 + 1 + 5 - 1 = 8 time units");
 
-  Machine m = Machine::umm(/*w=*/4, /*l=*/5, /*p=*/8, /*mem=*/16,
-                           /*record_trace=*/true);
+  Machine m = Machine::umm(/*w=*/4, /*l=*/5, /*p=*/8, /*mem=*/16);
+  telemetry::CollectingSink trace;
+  m.set_observer(&trace);
   // Fig. 4's request addresses: W(0) -> {0, 2, 6, 15}, W(1) -> {8..11}.
   const Address w0_addrs[4] = {0, 2, 6, 15};
   const auto r = m.run([&](ThreadCtx& t) -> SimTask {
@@ -34,7 +36,7 @@ int run() {
   t.set_header({"warp", "stages", "inject cycles", "data ready"});
   bool ok = true;
   std::int64_t mem_events = 0;
-  for (const auto& e : r.trace) {
+  for (const auto& e : trace.events()) {
     if (e.kind != TraceEvent::Kind::kMemory) continue;
     ++mem_events;
     t.add_row({"W(" + std::to_string(e.warp) + ")", Table::cell(e.stages),
@@ -47,7 +49,7 @@ int run() {
 
   // ASCII timeline, one row per warp, one column per cycle.
   std::cout << "cycle     0 1 2 3 4 5 6 7 8\n";
-  for (const auto& e : r.trace) {
+  for (const auto& e : trace.events()) {
     if (e.kind != TraceEvent::Kind::kMemory) continue;
     std::string row = "W(" + std::to_string(e.warp) + ")     ";
     for (Cycle c = 0; c <= 8; ++c) {

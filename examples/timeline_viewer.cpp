@@ -8,6 +8,7 @@
 
 #include "machine/machine.hpp"
 #include "report/gantt.hpp"
+#include "telemetry/sink.hpp"
 
 using namespace hmm;
 
@@ -15,7 +16,9 @@ namespace {
 
 void show(std::int64_t warps) {
   const std::int64_t w = 8, l = 16, n = 512;
-  Machine m = Machine::umm(w, l, warps * w, n, /*record_trace=*/true);
+  Machine m = Machine::umm(w, l, warps * w, n);
+  telemetry::CollectingSink trace;
+  m.set_observer(&trace);
   const auto r = m.run([&](ThreadCtx& t) -> SimTask {
     for (Address i = t.thread_id(); i < n; i += t.num_threads()) {
       co_await t.read(MemorySpace::kGlobal, i);
@@ -27,7 +30,7 @@ void show(std::int64_t warps) {
               static_cast<long long>(r.makespan));
   GanttOptions opt;
   opt.max_warps = 8;
-  std::cout << render_gantt(r, opt);
+  std::cout << render_gantt(r, trace.events(), opt);
 }
 
 }  // namespace

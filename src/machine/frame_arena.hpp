@@ -12,8 +12,9 @@
 //
 // Contract:
 //  * An arena is single-threaded.  The thread that activates it performs
-//    every allocation; SweepRunner gives each worker thread its own
-//    arena (run/sweep.cpp) precisely so arenas never cross threads.
+//    every allocation: each Machine owns one, and a long-lived worker
+//    may register one for its thread (RunScratch in machine.hpp), so
+//    arenas never cross threads.
 //  * reset() may only run while no frame allocated from the arena is
 //    alive.  The engine guarantees this: it owns every SimTask of a run
 //    (frames die with the Engine), and it resets the arena at run start,

@@ -11,30 +11,19 @@
 namespace hmm {
 
 namespace {
-// Per-thread default hooks (Machine::set_thread_frame_arena et al.).
-// Plain thread_local pointers: registration and every use happen on the
+// Per-thread registrations.  Registration and every use happen on the
 // owning thread, so no synchronisation is involved.
-thread_local FrameArena* t_default_arena = nullptr;
-thread_local PatternCache* t_default_cache = nullptr;
-// Topology overlay consulted by Machine::hmm (set_thread_machine_overlay).
-thread_local const MachineOverlay* t_default_overlay = nullptr;
+thread_local RunScratch* t_scratch = nullptr;  // Machine::set_thread_scratch
+thread_local const MachineOverlay* t_overlay = nullptr;  // MachineOverlayScope
 }  // namespace
 
-void Machine::set_thread_frame_arena(FrameArena* arena) {
-  t_default_arena = arena;
-}
-FrameArena* Machine::thread_frame_arena() { return t_default_arena; }
-void Machine::set_thread_pattern_cache(PatternCache* cache) {
-  t_default_cache = cache;
-}
-PatternCache* Machine::thread_pattern_cache() { return t_default_cache; }
+void Machine::set_thread_scratch(RunScratch* scratch) { t_scratch = scratch; }
 
-void Machine::set_thread_machine_overlay(const MachineOverlay* overlay) {
-  t_default_overlay = overlay;
+MachineOverlayScope::MachineOverlayScope(const MachineOverlay* overlay)
+    : saved_(t_overlay) {
+  t_overlay = overlay;
 }
-const MachineOverlay* Machine::thread_machine_overlay() {
-  return t_default_overlay;
-}
+MachineOverlayScope::~MachineOverlayScope() { t_overlay = saved_; }
 
 // ---------------------------------------------------------------------------
 // Machine construction
@@ -85,44 +74,39 @@ Machine::Machine(MachineConfig config)
 }
 
 Machine Machine::dmm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace) {
+                     std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm = {num_threads};
   cfg.shared = MemorySpec{memory_size, latency};
-  cfg.record_trace = record_trace;
   return Machine(std::move(cfg));
 }
 
 Machine Machine::umm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace) {
+                     std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm = {num_threads};
   cfg.global = MemorySpec{memory_size, latency};
-  cfg.record_trace = record_trace;
   return Machine(std::move(cfg));
 }
 
 Machine Machine::hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     bool record_trace, Cycle shared_latency) {
+                     Cycle shared_latency) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm.assign(static_cast<std::size_t>(num_dmms),
                              threads_per_dmm);
   cfg.shared = MemorySpec{shared_size, shared_latency};
   cfg.global = MemorySpec{global_size, global_latency};
-  cfg.record_trace = record_trace;
   // A registered topology overlay reshapes the machine the driver asked
   // for: per-DMM thread counts and shared specs, plus interconnect links.
   // The driver's shared_size formula (computed for the LARGEST DMM, see
   // run::run_point) stays the per-DMM floor so kernels keep the room
   // they sized for.
-  if (const MachineOverlay* ov = thread_machine_overlay()) {
+  if (const MachineOverlay* ov = t_overlay) {
     HMM_REQUIRE(
         static_cast<std::int64_t>(ov->threads_per_dmm.size()) == num_dmms &&
             static_cast<std::int64_t>(ov->shared.size()) == num_dmms &&
@@ -258,7 +242,8 @@ class Engine {
   // resumes are irreducible), but verifies the freshly posted ops
   // against the slot in one fused pass and then applies the recorded
   // pricing directly — no batch build, no profile_batch, no
-  // service() — with byte-identical timing, traffic and trace effects.
+  // service() — with byte-identical timing and traffic effects.  Replay
+  // only runs with no observer attached, so no event consumer exists.
   // Any deviation (different op, inadmissible address shift, lane
   // death, barrier) bails out to the ordinary scan path for that round
   // and the warp starts scanning again; kMaxBailouts flaps WITHOUT an
@@ -277,11 +262,10 @@ class Engine {
   //    shared memory are then private — no other warp can read or write
   //    any state the block touches, so running the block ahead of the
   //    global clock order commutes with every other warp's rounds.
-  //    Requires no trace consumer (trace events are globally ordered).
   //  * horizon regime: each successive round's (clock, warp id) still
   //    precedes the ready queue's minimum, i.e. the round would have
-  //    been the very next pop anyway.  Exact for any slot content, trace
-  //    included — this is just the event loop with the re-heap skipped.
+  //    been the very next pop anyway.  Exact for any slot content —
+  //    this is just the event loop with the re-heap skipped.
   static constexpr std::int64_t kMaxPeriod = 8;
   static constexpr std::int64_t kHistory = 2 * kMaxPeriod;
   static constexpr std::int64_t kMaxBailouts = 8;
@@ -342,7 +326,6 @@ class Engine {
   };
 
   void launch_threads();
-  void emit_trace(const TraceEvent& event);
   void round(WarpState& w);
   void dispatch_scan(WarpState& w);
   void resume_flagged(WarpState& w);
@@ -446,9 +429,10 @@ class Engine {
   std::vector<std::int32_t> flagged_lanes_;
   std::size_t width_ = 0;  // topology width, cached for slice math
   // Round-pattern memoization state, sampled once per run: cache_ is
-  // null when fast-forward is off; replay additionally requires that no
-  // observer is attached (the global fallback of the observer contract —
-  // observers see every event of a fully simulated run).
+  // the run's RunScratch cache, or null when fast-forward is off; replay
+  // additionally requires that no observer is attached (the global
+  // fallback of the observer contract — observers see every event of a
+  // fully simulated run).
   PatternCache* cache_ = nullptr;
   bool replay_enabled_ = false;
   std::vector<std::uint64_t> key_scratch_;  // canonical key, reused
@@ -459,12 +443,12 @@ class Engine {
   std::int64_t link_remote_batches_ = 0;
   std::int64_t link_stages_ = 0;
   RunReport report_;
-  // Trace routing, sampled once per run: trace_ is true when ANY consumer
-  // wants TraceEvents (the legacy record_trace collector and/or an
-  // attached observer with wants_trace_events()); with no consumer the
-  // per-round cost is a single branch on a cached bool.
+  // Sampled once per run: true when the attached observer wants
+  // TraceEvents.  Call sites guard on it, so a run nobody traces never
+  // constructs one, at the cost of a single branch on a cached bool.
+  // Replay never runs with an observer attached, so the replay path
+  // emits no events.
   bool trace_ = false;
-  bool observer_traces_ = false;
 };
 
 namespace {
@@ -572,11 +556,6 @@ void Engine::launch_threads() {
   if (replay_enabled_) {
     trackers_.resize(static_cast<std::size_t>(topo.total_warps()));
   }
-  if (machine_.config_.record_trace) {
-    // Every warp produces at least a few events; start with a generous
-    // capacity so early rounds never reallocate mid-run.
-    report_.trace.reserve(static_cast<std::size_t>(topo.total_warps()) * 8);
-  }
 
   for (const WarpState& w : warps_) requeue(w);
 }
@@ -593,24 +572,16 @@ RunReport Engine::run() {
     machine_.global_->memory.reset_traffic();
   }
 
-  observer_traces_ =
+  trace_ =
       machine_.observer_ != nullptr && machine_.observer_->wants_trace_events();
-  trace_ = machine_.config_.record_trace || observer_traces_;
+
+  RunScratch& scratch = t_scratch != nullptr ? *t_scratch : machine_.scratch_;
 
   // Round-pattern memoization (mm/pattern_cache.hpp).  The cache is pure
   // memoization of exact profiles, so it stays on even under observation;
   // the REPLAY shortcut falls back to full simulation whenever an
   // observer is attached, so observers always see every batch event.
-  // record_trace alone does not disable replay: replayed rounds
-  // synthesize their TraceEvents exactly (same fields the slow path
-  // emits, from the same inject()/acquire() calls).
-  cache_ = nullptr;
-  if (machine_.config_.fast_forward) {
-    cache_ = machine_.external_cache_ != nullptr ? machine_.external_cache_
-             : Machine::thread_pattern_cache() != nullptr
-                 ? Machine::thread_pattern_cache()
-                 : &machine_.cache_;
-  }
+  cache_ = machine_.config_.fast_forward ? &scratch.cache : nullptr;
   replay_enabled_ = cache_ != nullptr && machine_.observer_ == nullptr;
   const std::int64_t cache_hits0 = cache_ != nullptr ? cache_->hits() : 0;
   const std::int64_t cache_misses0 = cache_ != nullptr ? cache_->misses() : 0;
@@ -619,18 +590,9 @@ RunReport Engine::run() {
   // are created at launch, but SubTask frames are created whenever a
   // thread enters a device subroutine mid-run, so the scope must span
   // the scheduling loop too.  Resetting here is safe — frames die with
-  // the Engine, and the previous run's engine is long gone.  With
-  // use_frame_arena off the scope still opens (with nullptr), shielding
-  // this run from any arena an outer caller may have activated.
-  FrameArena* arena = nullptr;
-  if (machine_.config_.use_frame_arena) {
-    arena = machine_.external_arena_ != nullptr ? machine_.external_arena_
-            : Machine::thread_frame_arena() != nullptr
-                ? Machine::thread_frame_arena()
-                : &machine_.arena_;
-    arena->reset();
-  }
-  const FrameArena::Scope arena_scope(arena);
+  // the Engine, and the previous run's engine is long gone.
+  scratch.arena.reset();
+  const FrameArena::Scope arena_scope(&scratch.arena);
 
   launch_threads();
   report_.threads = machine_.num_threads();
@@ -661,9 +623,9 @@ RunReport Engine::run() {
     report_.exec.push_back(ExecStats{e.slots, e.next_free});
   }
   if (cache_ != nullptr) {
-    // This run's share of the (possibly long-lived, cross-run) cache.  The
-    // hit/miss split depends on how warm that cache was — SweepRunner
-    // workers carry theirs across grid points — which is why
+    // This run's share of a cache that may outlive it.  The hit/miss
+    // split depends on how warm that cache was — a worker's registered
+    // RunScratch carries it across runs — which is why
     // RunReport::operator== excludes FastForwardStats.
     report_.fast_forward.cache_hits = cache_->hits() - cache_hits0;
     report_.fast_forward.cache_misses = cache_->misses() - cache_misses0;
@@ -716,17 +678,6 @@ void Engine::check_no_deadlock() const {
   }
   describe(machine_domain_, "machine");
   throw DeadlockError(msg);
-}
-
-/// THE single trace-emission path: every scheduled event is constructed
-/// once at its call site and routed here, to the legacy RunReport::trace
-/// collector (MachineConfig::record_trace — a compatibility shim with the
-/// exact semantics of telemetry::CollectingSink) and to the attached
-/// observer's trace hook.  Call sites guard on `trace_` so the detached
-/// hot path never constructs a TraceEvent.
-void Engine::emit_trace(const TraceEvent& event) {
-  if (machine_.config_.record_trace) report_.trace.push_back(event);
-  if (observer_traces_) machine_.observer_->on_trace_event(event);
 }
 
 /// Batched resume: visit ONLY the lanes flagged since the last round
@@ -1018,7 +969,7 @@ void Engine::memory_round(WarpState& w, MemorySpace space) {
   requeue(w);
 
   if (trace_) {
-    emit_trace(TraceEvent{
+    machine_.observer_->on_trace_event(TraceEvent{
         .kind = TraceEvent::Kind::kMemory,
         .warp = w.id,
         .dmm = w.dmm,
@@ -1074,7 +1025,7 @@ void Engine::compute_round(WarpState& w) {
   requeue(w);
 
   if (trace_) {
-    emit_trace(TraceEvent{
+    machine_.observer_->on_trace_event(TraceEvent{
         .kind = TraceEvent::Kind::kCompute,
         .warp = w.id,
         .dmm = w.dmm,
@@ -1160,7 +1111,7 @@ void Engine::release(BarrierDomain& domain) {
     flag_all_live(w);
     requeue(w);
     if (trace_) {
-      emit_trace(TraceEvent{
+      machine_.observer_->on_trace_event(TraceEvent{
           .kind = TraceEvent::Kind::kBarrier,
           .warp = w.id,
           .dmm = w.dmm,
@@ -1314,11 +1265,10 @@ void Engine::record_memory_slot(WarpTracker& t, const WarpState& w,
 ///
 /// Exactness (see the WarpTracker comment): the block keeps extending
 /// while EITHER every resource the period touches is private to this
-/// warp (exclusive regime — sole warp of its DMM, DMM-local slots, no
-/// trace consumer), OR the next round would have been the very next
-/// queue pop anyway (horizon regime).  Otherwise the round is requeued
-/// and the block ends after a single replayed round, exactly like the
-/// ordinary event loop.
+/// warp (exclusive regime — sole warp of its DMM, DMM-local slots), OR
+/// the next round would have been the very next queue pop anyway
+/// (horizon regime).  Otherwise the round is requeued and the block ends
+/// after a single replayed round, exactly like the ordinary event loop.
 void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
   w.flagged = 0;
   // Clear the resume marks once for the whole block instead of once per
@@ -1334,7 +1284,7 @@ void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
       base_ts[lanes[k]].need_resume = false;
     }
   }
-  const bool exclusive_fuse = w.exclusive && t.local_only && !trace_;
+  const bool exclusive_fuse = w.exclusive && t.local_only;
   for (;;) {
     if (!try_replay_round(w, t)) {
       // Lanes are resumed with fresh ops posted; classify them the
@@ -1364,7 +1314,7 @@ void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
 /// resumes ARE the computation), but the freshly posted ops are checked
 /// against the slot in one fused pass and the recorded pricing is applied
 /// directly: no batch build, no profiling, no service().  Everything the
-/// slow path would have done to timing, memory, traffic and trace happens
+/// slow path would have done to timing, memory and traffic happens
 /// here with identical values (returns true), or the round bails out and
 /// is re-serviced by the ordinary path (returns false; lanes stay
 /// resumed, their ops are intact).  The caller owns lane flags and
@@ -1523,19 +1473,6 @@ bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
       const PipelineSlot ps = port.pipeline.inject(issue, s.stages, s.nreq);
       for (const std::int32_t b : s.banks) mem.add_bank_traffic(b, 1);
       w.clock = ps.data_ready;
-      if (trace_) {
-        emit_trace(TraceEvent{
-            .kind = TraceEvent::Kind::kMemory,
-            .warp = w.id,
-            .dmm = w.dmm,
-            .space = s.space,
-            .requests = s.nreq,
-            .stages = s.stages,
-            .begin = ps.inject_begin,
-            .end = ps.inject_end,
-            .ready = ps.data_ready,
-        });
-      }
       break;
     }
 
@@ -1567,16 +1504,6 @@ bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
       const Cycle begin =
           exec_[static_cast<std::size_t>(w.dmm)].acquire(w.clock, s.cycles);
       w.clock = begin + s.cycles;
-      if (trace_) {
-        emit_trace(TraceEvent{
-            .kind = TraceEvent::Kind::kCompute,
-            .warp = w.id,
-            .dmm = w.dmm,
-            .begin = begin,
-            .end = w.clock - 1,
-            .ready = w.clock,
-        });
-      }
       break;
     }
 

@@ -74,12 +74,12 @@ struct DmmLink {
 };
 
 /// Per-DMM deviations from the uniform (d, p, w, l) machine, consulted
-/// by Machine::hmm through a thread-local hook (set_thread_machine_overlay)
-/// because the span drivers (alg::sum_hmm etc.) build their Machines
-/// internally, out of reach of MachineConfig.  All three vectors must
-/// have exactly one entry per DMM of the machine being built; `shared`
-/// carries each DMM's pipeline latency and a MINIMUM word count that is
-/// max-combined with the driver's own size formula.
+/// by Machine::hmm while a MachineOverlayScope holds one on the calling
+/// thread, because the span drivers (alg::sum_hmm etc.) build their
+/// Machines internally, out of reach of MachineConfig.  All three vectors
+/// must have exactly one entry per DMM of the machine being built;
+/// `shared` carries each DMM's pipeline latency and a MINIMUM word count
+/// that is max-combined with the driver's own size formula.
 struct MachineOverlay {
   std::vector<std::int64_t> threads_per_dmm;
   std::vector<MemorySpec> shared;
@@ -100,18 +100,6 @@ struct MachineConfig {
   /// memory; otherwise exactly one entry per DMM, inactive entries for
   /// local DMMs).
   std::vector<DmmLink> links;
-  /// Collect the full event stream into RunReport::trace.  Compatibility
-  /// shim over the sink API: the engine feeds one emission path, and this
-  /// flag is exactly "a telemetry::CollectingSink owned by the report" —
-  /// unbounded, O(run length) memory.  Production-scale traced runs
-  /// should attach a telemetry::RingBufferSink instead (O(capacity)).
-  bool record_trace = false;
-  /// Bump-allocate coroutine frames from a per-run FrameArena (default).
-  /// Off restores the pre-arena behaviour — every frame from global
-  /// new/delete — and exists for A/B measurement
-  /// (bench_engine_hotpath's "arena" section); results are identical
-  /// either way, only allocation traffic changes.
-  bool use_frame_arena = true;
   /// Round-pattern memoization and verified fast-forward replay of
   /// periodic warps (default on).  Results are identical either way —
   /// the replay path re-verifies every lane's request before trusting a
@@ -123,6 +111,18 @@ struct MachineConfig {
   bool fast_forward = true;
 };
 
+/// What a run reuses instead of reallocating or repricing: coroutine
+/// frames (machine/frame_arena.hpp) and priced round patterns
+/// (mm/pattern_cache.hpp).  Every Machine owns one; a long-lived worker
+/// thread may register its own (Machine::set_thread_scratch) so it stays
+/// warm across the machines it builds.  Warmth never changes results:
+/// the arena holds only transient frames, and cache entries are
+/// geometry-keyed exact profiles.
+struct RunScratch {
+  FrameArena arena;
+  PatternCache cache;
+};
+
 class Machine {
  public:
   using KernelFn = std::function<SimTask(ThreadCtx&)>;
@@ -131,15 +131,12 @@ class Machine {
 
   // ---- factories for the three paper models ---------------------------
   static Machine dmm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace = false);
+                     std::int64_t num_threads, std::int64_t memory_size);
   static Machine umm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace = false);
+                     std::int64_t num_threads, std::int64_t memory_size);
   static Machine hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     bool record_trace = false,
                      Cycle shared_latency = 1);
 
   // ---- shape -----------------------------------------------------------
@@ -171,68 +168,24 @@ class Machine {
   void set_observer(EngineObserver* observer) { observer_ = observer; }
   EngineObserver* observer() const { return observer_; }
 
-  // ---- coroutine frame allocation (machine/frame_arena.hpp) ------------
-  /// Replace the machine-owned frame arena with an external one for all
-  /// subsequent runs (nullptr restores the owned arena).  The active
-  /// arena is reset at the start of every run, so it must be dedicated
-  /// to this machine's runs, must outlive them, and must never be shared
-  /// across threads.  SweepRunner attaches one arena per worker thread
-  /// so chunk allocation is paid once per worker, not once per grid
-  /// point.  Ignored when MachineConfig::use_frame_arena is false.
-  void set_frame_arena(FrameArena* arena) { external_arena_ = arena; }
-  /// The arena the next run will use (the owned one unless overridden).
-  const FrameArena& frame_arena() const {
-    return external_arena_ != nullptr ? *external_arena_ : arena_;
-  }
-
   // ---- round-pattern memoization (mm/pattern_cache.hpp) ----------------
   /// Enable/disable the pattern cache AND the fast-forward replay for all
   /// subsequent runs (overrides MachineConfig::fast_forward).
   void set_fast_forward(bool enabled) { config_.fast_forward = enabled; }
   bool fast_forward_enabled() const { return config_.fast_forward; }
-  /// Replace the machine-owned pattern cache with an external one for all
-  /// subsequent runs (nullptr restores the owned cache).  Same contract
-  /// as set_frame_arena: not owned, must outlive the runs, never shared
-  /// across threads.  SweepRunner attaches one cache per worker thread so
-  /// warm profiles carry across grid points.  Unlike the arena, the
-  /// cache is NOT reset between runs — entries are geometry-keyed and
-  /// remain exact forever.
-  void set_pattern_cache(PatternCache* cache) { external_cache_ = cache; }
-  /// The cache the next run will use (the owned one unless overridden).
-  const PatternCache& pattern_cache() const {
-    return external_cache_ != nullptr ? *external_cache_ : cache_;
-  }
 
-  // ---- per-thread default hooks ----------------------------------------
-  /// Thread-local fallbacks for the two hooks above: a machine whose
-  /// set_frame_arena / set_pattern_cache was never called adopts the
-  /// CALLING thread's default (when one is registered) at run start,
-  /// instead of its owned arena/cache.  This is how a persistent worker
-  /// pool warms arenas under the convenience drivers (alg::sum_hmm etc.)
-  /// that construct Machines internally, out of the pool's reach: the
-  /// worker registers its arena once at thread start and every machine it
-  /// ever builds allocates frames from it.  Same ownership contract as
-  /// the per-machine hooks — not owned, must outlive every run on this
-  /// thread, never shared across threads; nullptr deregisters.  Warmth
-  /// never changes results: arenas hold transient coroutine frames and
-  /// pattern-cache entries are geometry-keyed exact profiles.
-  static void set_thread_frame_arena(FrameArena* arena);
-  static FrameArena* thread_frame_arena();
-  static void set_thread_pattern_cache(PatternCache* cache);
-  static PatternCache* thread_pattern_cache();
-
-  // ---- machine topology overlay ----------------------------------------
-  /// Thread-local MachineOverlay consulted by the Machine::hmm factory:
-  /// while registered, every HMM built on this thread adopts the
-  /// overlay's per-DMM thread counts, shared specs and links (the DMM
-  /// count must match — a driver constructing a differently-shaped
-  /// machine under an overlay is a precondition error).  This is how a
-  /// non-trivial --machine topology reaches the span drivers; see
-  /// run::run_point.  Same contract as the hooks above: not owned, must
-  /// outlive the registration, never shared across threads; nullptr
-  /// deregisters.  Machine::dmm / Machine::umm ignore the overlay.
-  static void set_thread_machine_overlay(const MachineOverlay* overlay);
-  static const MachineOverlay* thread_machine_overlay();
+  // ---- per-run scratch (RunScratch) -----------------------------------
+  /// This machine's own frame arena, which its runs reset and allocate
+  /// from unless the calling thread registered a RunScratch.
+  const FrameArena& frame_arena() const { return scratch_.arena; }
+  /// Register `scratch` for every run on the CALLING thread, in place of
+  /// each machine's own (nullptr deregisters).  This is how a long-lived
+  /// worker keeps its arena and pattern cache warm under the span
+  /// drivers (alg::sum_hmm etc.) that build Machines internally, out of
+  /// the worker's reach: hmmsimd's pool registers one per worker thread.
+  /// Every run resets the arena and keeps the cache, so `scratch` must
+  /// outlive every run on this thread and never be shared across threads.
+  static void set_thread_scratch(RunScratch* scratch);
 
  private:
   friend class Engine;
@@ -252,22 +205,23 @@ class Machine {
   std::vector<Port> shared_;      // one per DMM when configured
   std::optional<Port> global_;
   EngineObserver* observer_ = nullptr;  // not owned
-  FrameArena arena_;                    // frames of this machine's runs
-  FrameArena* external_arena_ = nullptr;  // not owned; overrides arena_
-  PatternCache cache_;                    // priced round patterns
-  PatternCache* external_cache_ = nullptr;  // not owned; overrides cache_
+  RunScratch scratch_;  // this machine's own (see set_thread_scratch)
 };
 
-/// RAII registration of a thread-local MachineOverlay for the span of one
-/// dispatch: restores the previous registration even when the guarded
-/// code throws.
+/// Installs `overlay` on the calling thread for the span of one dispatch:
+/// every HMM that Machine::hmm builds meanwhile adopts the overlay's
+/// per-DMM thread counts, shared specs and links (the DMM count must
+/// match — a driver constructing a differently-shaped machine under an
+/// overlay is a precondition error).  This is how a non-trivial
+/// --machine topology reaches the span drivers; see run::run_point.
+/// Machine::dmm / Machine::umm ignore the overlay.  Not owned: it must
+/// outlive the scope.  nullptr clears any overlay for the scope's
+/// lifetime.  The destructor restores the previous one, even when the
+/// guarded code throws.
 class MachineOverlayScope {
  public:
-  explicit MachineOverlayScope(const MachineOverlay* overlay)
-      : saved_(Machine::thread_machine_overlay()) {
-    Machine::set_thread_machine_overlay(overlay);
-  }
-  ~MachineOverlayScope() { Machine::set_thread_machine_overlay(saved_); }
+  explicit MachineOverlayScope(const MachineOverlay* overlay);
+  ~MachineOverlayScope();
   MachineOverlayScope(const MachineOverlayScope&) = delete;
   MachineOverlayScope& operator=(const MachineOverlayScope&) = delete;
 

@@ -86,14 +86,12 @@ class EngineObserver {
   virtual bool wants_trace_events() const { return false; }
 
   /// One scheduled TraceEvent, in the engine's deterministic emission
-  /// order — the exact stream `MachineConfig::record_trace` collects into
-  /// RunReport::trace (telemetry/sink.hpp builds every trace sink on this
-  /// hook).  Only called when wants_trace_events() returned true at run
-  /// start.
+  /// order (telemetry/sink.hpp builds every trace sink on this hook).
+  /// Only called when wants_trace_events() returned true at run start.
   virtual void on_trace_event(const TraceEvent& event) { (void)event; }
 
   /// The run finished; `report` is complete (makespan, pipeline and exec
-  /// counters, trace).  The reference is mutable so telemetry observers
+  /// counters).  The reference is mutable so telemetry observers
   /// can snapshot derived metrics into RunReport::metrics; observers must
   /// not clear or rewrite the engine-owned fields.
   virtual void on_run_end(RunReport& report) { (void)report; }

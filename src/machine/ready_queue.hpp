@@ -74,16 +74,19 @@ class ReadyQueue {
 
   void sift_down(std::size_t i) {
     const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t left = 2 * i + 1;
-      const std::size_t right = left + 1;
-      std::size_t best = i;
-      if (left < n && before(heap_[left], heap_[best])) best = left;
-      if (right < n && before(heap_[right], heap_[best])) best = right;
-      if (best == i) break;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
+    // Moves one hole down instead of swapping, and picks the earlier
+    // child arithmetically: the pop then compiles to the same branch-light
+    // loop wherever it is inlined, rather than depending on how the
+    // compiler if-converts it inside the caller (Engine::run's loop).
+    const Entry moving = heap_[i];
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+      child += static_cast<std::size_t>(child + 1 < n &&
+                                        before(heap_[child + 1], heap_[child]));
+      if (!before(heap_[child], moving)) break;
+      heap_[i] = heap_[child];
+      i = child;
     }
+    heap_[i] = moving;
   }
 
   std::vector<Entry> heap_;

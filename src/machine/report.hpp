@@ -1,6 +1,7 @@
 // What a simulation run reports back: the makespan in the paper's time
-// units plus utilisation counters, (optionally) a full event trace and
-// (optionally) a telemetry metrics snapshot.
+// units plus utilisation counters and (optionally) a telemetry metrics
+// snapshot.  The scheduled-event stream goes to observers instead
+// (machine/observer.hpp, telemetry/sink.hpp).
 #pragma once
 
 #include <optional>
@@ -12,7 +13,8 @@
 
 namespace hmm {
 
-/// One scheduled event, recorded only when tracing is enabled.
+/// One scheduled event, emitted only to an attached observer that wants
+/// trace events (telemetry/sink.hpp).
 struct TraceEvent {
   enum class Kind : std::uint8_t { kMemory, kCompute, kBarrier };
 
@@ -101,10 +103,11 @@ struct MetricsSnapshot {
 /// Diagnostics of the round-pattern cache and the verified fast-forward
 /// replay path (docs/PERF.md, "Analytic fast-forward").  These counters
 /// describe HOW a result was computed, not WHAT it is: cache hit rates
-/// depend on cache warmth (a sweep worker reuses one cache across grid
-/// points) and replayed_rounds depends on whether the shortcut was
-/// enabled — so FastForwardStats is deliberately EXCLUDED from
-/// RunReport::operator==, which compares simulation results only.
+/// depend on cache warmth (an hmmsimd worker reuses one cache across
+/// requests, Machine::set_thread_scratch) and replayed_rounds depends
+/// on whether the shortcut was enabled — so FastForwardStats is
+/// deliberately EXCLUDED from RunReport::operator==, which compares
+/// simulation results only.
 struct FastForwardStats {
   std::int64_t cache_hits = 0;      ///< profile_batch calls skipped
   std::int64_t cache_misses = 0;    ///< batches priced then memoized
@@ -137,8 +140,6 @@ struct RunReport {
 
   LinkStats link;  ///< interconnect traffic (zero on single-HMM machines)
 
-  std::vector<TraceEvent> trace;  ///< populated only when tracing
-
   /// Populated only when a telemetry::MetricsRegistry observed the run
   /// (cumulative over every run that registry has seen).
   std::optional<MetricsSnapshot> metrics;
@@ -158,7 +159,7 @@ struct RunReport {
            a.shared_pipelines == b.shared_pipelines && a.exec == b.exec &&
            a.barrier_releases == b.barrier_releases &&
            a.threads == b.threads && a.warps == b.warps &&
-           a.link == b.link && a.trace == b.trace && a.metrics == b.metrics;
+           a.link == b.link && a.metrics == b.metrics;
   }
 };
 

@@ -126,8 +126,8 @@ class TopologySpec {
   /// are byte-identical by construction.
   bool is_trivial() const;
 
-  /// The per-DMM overlay a non-trivial spec registers around one driver
-  /// dispatch (Machine::set_thread_machine_overlay).
+  /// The per-DMM overlay a non-trivial spec installs around one driver
+  /// dispatch (MachineOverlayScope).
   MachineOverlay overlay() const;
 
   /// Canonical fingerprint text of the MACHINE the spec resolves to —

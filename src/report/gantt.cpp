@@ -9,12 +9,13 @@
 namespace hmm {
 
 std::string render_gantt(const RunReport& report,
+                         std::span<const TraceEvent> events,
                          const GanttOptions& options) {
   HMM_REQUIRE(options.max_columns >= 8, "gantt: need >= 8 columns");
   HMM_REQUIRE(options.max_warps >= 1, "gantt: need >= 1 warp row");
-  if (report.trace.empty()) {
-    return "(no trace recorded — construct the machine with "
-           "record_trace = true)\n";
+  if (events.empty()) {
+    return "(no trace recorded — attach a telemetry::CollectingSink to "
+           "the run)\n";
   }
 
   const Cycle span = std::max<Cycle>(report.makespan, 1);
@@ -40,7 +41,7 @@ std::string render_gantt(const RunReport& report,
     }
   };
 
-  for (const TraceEvent& e : report.trace) {
+  for (const TraceEvent& e : events) {
     switch (e.kind) {
       case TraceEvent::Kind::kMemory:
         paint(e.warp, e.begin, e.end, 'I', 4);

@@ -1,11 +1,11 @@
 // ASCII Gantt rendering of a recorded TraceEvent stream — one row per
 // warp, one column per time bucket, showing injection (I), in-flight
 // (~), compute (#) and barrier-release (|) activity.  Used by the
-// fig4 bench, the CLI's --trace mode and the timeline example.
+// timeline example.
 #pragma once
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "machine/report.hpp"
 
@@ -16,11 +16,12 @@ struct GanttOptions {
   std::int64_t max_warps = 32;    ///< rows; later warps are elided
 };
 
-/// Render the trace of `report` (must have been recorded) into an ASCII
-/// chart spanning [0, report.makespan].  When the makespan exceeds
-/// max_columns, each column aggregates a bucket of cycles and shows the
-/// dominant activity.
+/// Render `events` — the trace of the run that produced `report`, e.g. a
+/// telemetry::CollectingSink's events() — into an ASCII chart spanning
+/// [0, report.makespan].  When the makespan exceeds max_columns, each
+/// column aggregates a bucket of cycles and shows the dominant activity.
 std::string render_gantt(const RunReport& report,
+                         std::span<const TraceEvent> events,
                          const GanttOptions& options = {});
 
 }  // namespace hmm

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -54,36 +55,6 @@ void SweepRunner::for_each(
   for (std::thread& t : pool) t.join();
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<RunReport> SweepRunner::run(std::span<const SweepJob> sweep) const {
-  std::vector<RunReport> reports(sweep.size());
-  for_each(static_cast<std::int64_t>(sweep.size()), [&](std::int64_t i) {
-    const SweepJob& job = sweep[static_cast<std::size_t>(i)];
-    HMM_REQUIRE(static_cast<bool>(job.kernel),
-                "SweepRunner: every job needs a kernel");
-    // One frame arena per worker thread, attached to every grid point's
-    // machine: the run resets it (cheap, chunks are kept), so chunk
-    // allocation is paid once per worker instead of once per grid point.
-    static thread_local FrameArena arena;
-    // Likewise one pattern cache per worker: entries are keyed on
-    // geometry + batch shape, so profiles priced at one grid point stay
-    // exact at every other — warm caches carry across the sweep.  (Cache
-    // WARMTH varies with worker scheduling; results never do, and the
-    // CSV/report fields compared by determinism tests exclude hit
-    // counters.)
-    static thread_local PatternCache pattern_cache;
-    Machine machine(job.config);
-    machine.set_frame_arena(&arena);
-    machine.set_pattern_cache(&pattern_cache);
-    machine.set_observer(job.observer);
-    if (job.setup) job.setup(machine);
-    RunReport report = machine.run(job.kernel);
-    if (job.collect) job.collect(machine, report);
-    machine.set_observer(nullptr);
-    reports[static_cast<std::size_t>(i)] = std::move(report);
-  });
-  return reports;
 }
 
 }  // namespace hmm::run

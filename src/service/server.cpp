@@ -105,11 +105,9 @@ void WorkerPool::worker() {
   // The whole point of a persistent pool: this arena and pattern cache
   // live for the daemon's lifetime and stay warm across requests.  Every
   // Machine an algorithm driver builds on this thread adopts them
-  // (Machine::set_thread_frame_arena) — warmth never changes results.
-  FrameArena arena;
-  PatternCache cache;
-  Machine::set_thread_frame_arena(&arena);
-  Machine::set_thread_pattern_cache(&cache);
+  // (Machine::set_thread_scratch) — warmth never changes results.
+  RunScratch scratch;
+  Machine::set_thread_scratch(&scratch);
   std::int64_t seen_generation = 0;
   while (true) {
     const std::function<void(std::int64_t)>* fn = nullptr;
@@ -132,8 +130,7 @@ void WorkerPool::worker() {
       if (++workers_done_ == jobs_) done_cv_.notify_all();
     }
   }
-  Machine::set_thread_frame_arena(nullptr);
-  Machine::set_thread_pattern_cache(nullptr);
+  Machine::set_thread_scratch(nullptr);
 }
 
 // ---- Server --------------------------------------------------------------
@@ -531,13 +528,15 @@ void Server::execute_run(QueuedRun job) {
   done.telemetry_frames = telemetry_frames.load(std::memory_order_relaxed);
   done.telemetry_dropped = telemetry_dropped.load(std::memory_order_relaxed);
   done.skipped = skipped.load(std::memory_order_relaxed);
-  send_frame(job.conn, done);
+  // Count the request before the client can see its done frame, so a
+  // stats request sent after it already includes this one.
   job.conn->served.fetch_add(1, std::memory_order_relaxed);
   if (failed.load(std::memory_order_relaxed) > 0) {
     stats_.requests_failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
   }
+  send_frame(job.conn, done);
 }
 
 void Server::broadcast_heartbeat() {

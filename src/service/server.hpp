@@ -14,8 +14,8 @@
 //    frames interleave on the wire as points finish, each tagged with
 //    (req, grid_index);
 //  * a persistent WORKER pool (config.jobs threads): each worker
-//    registers a thread-default FrameArena and PatternCache with the
-//    Machine (machine/machine.hpp) at startup, so arenas and pattern
+//    registers a RunScratch (FrameArena + PatternCache) with
+//    Machine::set_thread_scratch at startup, so arenas and pattern
 //    caches stay WARM across requests — the latency edge a daemon has
 //    over forking `hmmsim` per sweep, measured by bench_service.
 //

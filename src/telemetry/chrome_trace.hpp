@@ -8,8 +8,8 @@
 //
 // Simulator cycles map 1:1 to microseconds (the trace-event time unit);
 // scale with ChromeTraceOptions::time_scale when zooming tiny runs.
-// Works on any event span: RunReport::trace, CollectingSink::events(),
-// or RingBufferSink::events_in_order() (a ring window is simply a
+// Works on any event span: CollectingSink::events() or
+// RingBufferSink::events_in_order() (a ring window is simply a
 // truncated-but-valid trace).
 #pragma once
 

@@ -3,14 +3,12 @@
 // A TelemetrySink is an EngineObserver that subscribes to the trace
 // channel (machine/observer.hpp): attach one with
 // `machine.set_observer(&sink)` and it receives every TraceEvent of
-// every subsequent run, in the engine's deterministic emission order —
-// the exact stream `MachineConfig::record_trace` collects into
-// RunReport::trace.  Three implementations cover the memory/latency
-// trade-offs of ROADMAP's "trace ring buffer / streaming sink" item:
+// every subsequent run, in the engine's deterministic emission order.
+// Three implementations cover the memory/latency trade-offs of
+// ROADMAP's "trace ring buffer / streaming sink" item:
 //
-//  * CollectingSink  — keeps everything; O(run length) memory.  The
-//    sink-API equivalent of the legacy record_trace flag (a run observed
-//    by a CollectingSink yields events identical to RunReport::trace).
+//  * CollectingSink  — keeps everything; O(run length) memory.  The way
+//    to obtain a run's full trace (render_gantt, exact-event tests).
 //  * RingBufferSink  — bounded drop-oldest window; O(capacity) memory
 //    regardless of run length, with a dropped-event counter.  The
 //    production choice for long traced runs.
@@ -19,8 +17,8 @@
 //    (file writers, sockets, aggregation).
 //
 // Per-run semantics: sinks that store events (collecting, ring) reset at
-// on_run_begin, mirroring RunReport::trace which covers one run.  Use
-// CallbackSink to accumulate across runs.  Sinks are not thread-safe;
+// on_run_begin, so they hold one run's trace.  Use CallbackSink to
+// accumulate across runs.  Sinks are not thread-safe;
 // attach each instance to one Machine at a time.
 #pragma once
 
@@ -53,8 +51,7 @@ class TelemetrySink : public EngineObserver {
   std::int64_t seen_ = 0;
 };
 
-/// Keeps the full trace of the current run, exactly as record_trace
-/// would have collected it into RunReport::trace.
+/// Keeps the full trace of the current run.
 class CollectingSink final : public TelemetrySink {
  public:
   void on_run_begin(const Machine& machine) override {

@@ -3,10 +3,13 @@
 // reuse, stamped batch pricing, SweepRunner pool) must not change a
 // single field — repeated runs and sweeps at thread counts 1, 2 and 8
 // have to agree byte for byte (RunReport::operator== compares every
-// counter, pipeline stat and trace event).
+// counter and pipeline stat; a CollectingSink compares the trace event
+// for event).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "alg/convolution.hpp"
@@ -19,6 +22,7 @@
 #include "machine/machine.hpp"
 #include "run/sweep.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -40,13 +44,17 @@ TEST(Determinism, RepeatedRunsProduceIdenticalReports) {
 TEST(Determinism, TracedRunsProduceIdenticalTraces) {
   const std::int64_t n = 1 << 10;
   const auto xs = alg::random_words(n, 3);
-  Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2, /*record_trace=*/true);
+  Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2);
   m.global_memory().load(0, xs);
+  telemetry::CollectingSink sink;
+  m.set_observer(&sink);
 
   const RunReport first = alg::sum_hmm(m, n).report;
+  const std::vector<TraceEvent> first_trace = sink.events();
   const RunReport again = alg::sum_hmm(m, n).report;
-  ASSERT_FALSE(first.trace.empty());
+  ASSERT_FALSE(first_trace.empty());
   EXPECT_EQ(first, again);
+  EXPECT_EQ(first_trace, sink.events());
 }
 
 TEST(Determinism, FreshMachinesProduceIdenticalReports) {
@@ -63,32 +71,40 @@ TEST(Determinism, FreshMachinesProduceIdenticalReports) {
 }
 
 // The sweep pool must be invisible in the results: any job count yields
-// the same report for every grid point, in the same order.
+// the same report and trace for every grid point, in the same order.
 TEST(Determinism, SweepReportsIdenticalAcrossThreadCounts) {
-  std::vector<run::SweepJob> jobs;
-  for (std::int64_t g = 0; g < 12; ++g) {
-    run::SweepJob job;
-    job.config.width = 16;
-    job.config.threads_per_dmm = {32 + 16 * (g % 3)};
-    job.config.global = MemorySpec{1 << 12, 50 + 25 * (g % 4)};
-    job.config.record_trace = (g % 2) == 0;
-    job.kernel = [](ThreadCtx& t) -> SimTask {
-      Word acc = 0;
-      for (int i = 0; i < 4; ++i) {
-        acc += co_await t.read(MemorySpace::kGlobal,
-                               (t.thread_id() * 7 + i * 13) % (1 << 12));
-        co_await t.compute();
-      }
-      co_await t.barrier();
-      co_await t.write(MemorySpace::kGlobal, t.thread_id(), acc);
-    };
-    jobs.push_back(std::move(job));
-  }
+  const std::int64_t points = 12;
+  const auto kernel = [](ThreadCtx& t) -> SimTask {
+    Word acc = 0;
+    for (int i = 0; i < 4; ++i) {
+      acc += co_await t.read(MemorySpace::kGlobal,
+                             (t.thread_id() * 7 + i * 13) % (1 << 12));
+      co_await t.compute();
+    }
+    co_await t.barrier();
+    co_await t.write(MemorySpace::kGlobal, t.thread_id(), acc);
+  };
+  using Traced = std::pair<RunReport, std::vector<TraceEvent>>;
+  const auto sweep = [&](std::int64_t threads) {
+    std::vector<Traced> out(static_cast<std::size_t>(points));
+    run::SweepRunner(threads).for_each(points, [&](std::int64_t g) {
+      MachineConfig config;
+      config.width = 16;
+      config.threads_per_dmm = {32 + 16 * (g % 3)};
+      config.global = MemorySpec{1 << 12, 50 + 25 * (g % 4)};
+      Machine machine(std::move(config));
+      telemetry::CollectingSink sink;  // every other point is traced
+      if (g % 2 == 0) machine.set_observer(&sink);
+      const RunReport report = machine.run(kernel);
+      out[static_cast<std::size_t>(g)] = {report, sink.events()};
+    });
+    return out;
+  };
 
-  const std::vector<RunReport> serial = run::SweepRunner(1).run(jobs);
-  ASSERT_EQ(serial.size(), jobs.size());
+  const std::vector<Traced> serial = sweep(1);
+  ASSERT_FALSE(serial.front().second.empty());
   for (const std::int64_t threads : {2, 8}) {
-    const std::vector<RunReport> pooled = run::SweepRunner(threads).run(jobs);
+    const std::vector<Traced> pooled = sweep(threads);
     ASSERT_EQ(pooled.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], pooled[i])
@@ -114,8 +130,9 @@ TEST(Determinism, SweepForEachCoversEveryIndexExactlyOnce) {
 // The verified replay path (docs/PERF.md, "Analytic fast-forward") is an
 // engine STRATEGY, not a model change: with --fast-forward on or off,
 // every field RunReport::operator== compares — makespan, pipeline and
-// exec stats, barrier releases, trace, metrics — must agree exactly.
-// Only FastForwardStats (excluded from equality by design) may differ.
+// exec stats, barrier releases, metrics — and every trace event must
+// agree exactly.  Only FastForwardStats (excluded from equality by
+// design) may differ.
 
 struct FfDriver {
   const char* name;
@@ -208,18 +225,26 @@ TEST(FastForwardEquivalence, EverySpanDriverMatchesWithReplayOff) {
   EXPECT_GT(replayed_on, 0);
 }
 
+// A trace sink turns replay off, but fast-forward still prices batches
+// from the pattern cache: cache-priced and freshly profiled runs must
+// emit the same events.
 TEST(FastForwardEquivalence, TracedRunsMatchEventForEvent) {
   const std::int64_t n = 1 << 10;
   const auto xs = alg::random_words(n, 7);
   auto run = [&](bool ff) {
-    Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2, /*record_trace=*/true);
+    Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2);
     m.set_fast_forward(ff);
     m.global_memory().load(0, xs);
-    return alg::sum_hmm(m, n).report;
+    telemetry::CollectingSink sink;
+    m.set_observer(&sink);
+    const RunReport report = alg::sum_hmm(m, n).report;
+    return std::pair<RunReport, std::vector<TraceEvent>>{report,
+                                                         sink.events()};
   };
-  const RunReport on = run(true);
-  const RunReport off = run(false);
-  ASSERT_FALSE(on.trace.empty());
+  const auto on = run(true);
+  const auto off = run(false);
+  ASSERT_FALSE(on.second.empty());
+  EXPECT_GT(on.first.fast_forward.cache_hits, 0);
   EXPECT_EQ(on, off);
 }
 
@@ -234,6 +259,36 @@ TEST(FastForwardEquivalence, MetricsObserverSeesIdenticalRuns) {
   const auto off = run(false);
   EXPECT_EQ(on.first, off.first);
   EXPECT_EQ(on.second, off.second);
+}
+
+// A registered RunScratch carries its pattern cache across runs and
+// machines, so a driver's result must not depend on what ran before it
+// on that thread.  A thread with none registered stays cold: each
+// Machine starts from an empty cache of its own.
+TEST(Determinism, WarmPatternCacheNeverChangesResults) {
+  const std::vector<FfDriver> drivers = ff_drivers();
+  std::vector<RunReport> cold(drivers.size());
+  for (std::size_t i = 0; i < drivers.size(); ++i) {
+    std::thread([&] { cold[i] = drivers[i].run(true); }).join();
+  }
+  std::thread([&] {
+    RunScratch scratch;
+    Machine::set_thread_scratch(&scratch);
+    for (const FfDriver& d : drivers) d.run(true);
+    for (std::size_t i = 0; i < drivers.size(); ++i) {
+      const RunReport warm = drivers[i].run(true);
+      EXPECT_EQ(warm, cold[i]) << drivers[i].name;
+      EXPECT_EQ(warm.fast_forward.cache_misses, 0) << drivers[i].name;
+    }
+    Machine::set_thread_scratch(nullptr);
+    for (std::size_t i = 0; i < drivers.size(); ++i) {
+      const FastForwardStats again = drivers[i].run(true).fast_forward;
+      EXPECT_EQ(again.cache_hits, cold[i].fast_forward.cache_hits)
+          << drivers[i].name;
+      EXPECT_EQ(again.cache_misses, cold[i].fast_forward.cache_misses)
+          << drivers[i].name;
+    }
+  }).join();
 }
 
 TEST(Determinism, SweepPropagatesWorkerExceptions) {

@@ -5,6 +5,7 @@
 #include "alg/device.hpp"
 #include "alg/workload.hpp"
 #include "machine/machine.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -118,7 +119,7 @@ TEST(Barrier, ThreadsThatExitEarlyDoNotBlockTheRest) {
 TEST(Barrier, ReleaseWaitsForTheSlowestWarp) {
   // Warp 0 computes 100 cycles before the barrier; warp 1 arrives
   // immediately.  Both must leave at warp 0's arrival time.
-  Machine m = Machine::dmm(4, 1, 8, 16, /*record_trace=*/true);
+  Machine m = Machine::dmm(4, 1, 8, 16);
   const auto r = m.run([](ThreadCtx& t) -> SimTask {
     if (t.warp_id() == 0) co_await t.compute(100);
     co_await t.barrier();
@@ -130,8 +131,10 @@ TEST(Barrier, ReleaseWaitsForTheSlowestWarp) {
 }
 
 TEST(Trace, RecordsInjectionsWithFig4Arithmetic) {
-  Machine m = Machine::umm(4, 5, 8, 64, /*record_trace=*/true);
-  const auto r = m.run([](ThreadCtx& t) -> SimTask {
+  Machine m = Machine::umm(4, 5, 8, 64);
+  telemetry::CollectingSink sink;
+  m.set_observer(&sink);
+  (void)m.run([](ThreadCtx& t) -> SimTask {
     // Warp 0 reads stride-4 (4 groups); warp 1 reads coalesced (1 group).
     if (t.warp_id() == 0) {
       co_await t.read(MemorySpace::kGlobal, t.lane() * 4);
@@ -140,7 +143,7 @@ TEST(Trace, RecordsInjectionsWithFig4Arithmetic) {
     }
   });
   std::vector<TraceEvent> mem;
-  for (const auto& e : r.trace) {
+  for (const auto& e : sink.events()) {
     if (e.kind == TraceEvent::Kind::kMemory) mem.push_back(e);
   }
   ASSERT_EQ(mem.size(), 2u);
@@ -206,9 +209,18 @@ TEST(WarpSync, MixedWithBarrierIsDiagnosed) {
 }
 
 TEST(Trace, DisabledByDefault) {
+  // Events reach only an attached sink, and only while it is attached.
   Machine m = Machine::dmm(4, 1, 4, 16);
-  const auto r = m.run([](ThreadCtx& t) -> SimTask { co_await t.compute(); });
-  EXPECT_TRUE(r.trace.empty());
+  EXPECT_EQ(m.observer(), nullptr);
+  const auto kernel = [](ThreadCtx& t) -> SimTask { co_await t.compute(); };
+  telemetry::CallbackSink sink([](const TraceEvent&) {});
+  m.set_observer(&sink);
+  (void)m.run(kernel);
+  const std::int64_t seen = sink.events_seen();
+  EXPECT_GT(seen, 0);
+  m.set_observer(nullptr);
+  (void)m.run(kernel);
+  EXPECT_EQ(sink.events_seen(), seen);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// FrameArena unit tests plus end-to-end arena semantics: identical
-// results with the arena on/off, external-arena reuse across runs, the
+// FrameArena unit tests plus end-to-end arena semantics: arena reuse
+// across runs, a thread-registered arena under a span driver, the
 // global-new fallback for directly built coroutines, and exception
 // propagation through nested SubTask chains under the arena.
 #include <gtest/gtest.h>
@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "alg/sum.hpp"
+#include "alg/workload.hpp"
 #include "core/types.hpp"
 #include "machine/frame_arena.hpp"
 #include "machine/machine.hpp"
@@ -67,8 +69,7 @@ TEST(FrameArenaTest, ScopesNestAndRestore) {
     {
       const FrameArena::Scope inner_scope(&inner);
       EXPECT_EQ(FrameArena::current(), &inner);
-      // A null scope shields from any outer arena (the engine uses this
-      // when MachineConfig::use_frame_arena is off).
+      // A null scope shields from any outer arena.
       const FrameArena::Scope shield(nullptr);
       EXPECT_EQ(FrameArena::current(), nullptr);
     }
@@ -104,12 +105,11 @@ TEST(FrameArenaTest, ArenaFramesMayOutliveTheScope) {
 
 // ---- end-to-end: Machine::run under the arena -------------------------
 
-MachineConfig barrier_config(bool use_arena) {
+MachineConfig barrier_config() {
   MachineConfig cfg;
   cfg.width = 32;
   cfg.threads_per_dmm = {128};
   cfg.shared = MemorySpec{64, 1};
-  cfg.use_frame_arena = use_arena;
   return cfg;
 }
 
@@ -122,16 +122,8 @@ SimTask barrier_kernel(ThreadCtx& t) {
   }
 }
 
-TEST(FrameArenaTest, ArenaOnAndOffProduceIdenticalReports) {
-  Machine on(barrier_config(true));
-  Machine off(barrier_config(false));
-  const RunReport a = on.run(barrier_kernel);
-  const RunReport b = off.run(barrier_kernel);
-  EXPECT_EQ(a, b);
-}
-
 TEST(FrameArenaTest, RepeatedRunsAreIdenticalAndReuseTheArena) {
-  Machine machine(barrier_config(true));
+  Machine machine(barrier_config());
   const RunReport first = machine.run(barrier_kernel);
   const std::size_t warm_capacity = machine.frame_arena().capacity_bytes();
   EXPECT_GT(warm_capacity, 0u);
@@ -142,18 +134,27 @@ TEST(FrameArenaTest, RepeatedRunsAreIdenticalAndReuseTheArena) {
   EXPECT_EQ(machine.frame_arena().capacity_bytes(), warm_capacity);
 }
 
+// A thread-registered arena serves the Machines a span driver builds
+// internally, out of the caller's reach.
 TEST(FrameArenaTest, ExternalArenaIsUsedAndReachesSteadyState) {
-  FrameArena arena;
-  Machine machine(barrier_config(true));
-  machine.set_frame_arena(&arena);
-  const RunReport first = machine.run(barrier_kernel);
-  EXPECT_GT(arena.capacity_bytes(), 0u);  // frames came from OUR arena
+  const auto xs = alg::random_words(1 << 10, 3);
+  const auto run = [&] { return alg::sum_hmm(xs, 4, 32, 32, 100).report; };
+  RunScratch scratch;
+  const FrameArena& arena = scratch.arena;
+  Machine::set_thread_scratch(&scratch);
+  const RunReport first = run();
+  const std::size_t allocations = arena.allocations();
   const std::size_t warm_capacity = arena.capacity_bytes();
-  EXPECT_EQ(machine.run(barrier_kernel), first);
-  EXPECT_EQ(arena.capacity_bytes(), warm_capacity);
-  // Detaching restores the machine-owned arena.
-  machine.set_frame_arena(nullptr);
-  EXPECT_EQ(machine.run(barrier_kernel), first);
+  const RunReport second = run();
+  const std::size_t second_capacity = arena.capacity_bytes();
+  Machine::set_thread_scratch(nullptr);
+  EXPECT_GE(allocations, 4u * 32u);  // every thread's frame came from it
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(second_capacity, warm_capacity);
+  // Deregistered: the driver's machine falls back to its own arena.
+  scratch.arena.reset();
+  EXPECT_EQ(run(), first);
+  EXPECT_EQ(arena.allocations(), 0u);
 }
 
 // ---- exception propagation through nested SubTasks under the arena ----
@@ -169,7 +170,7 @@ SubTask middle_level(ThreadCtx& t) {
 }
 
 TEST(FrameArenaTest, ExceptionTwoSubtaskLevelsDeepReachesRun) {
-  Machine machine(barrier_config(true));
+  Machine machine(barrier_config());
   const auto kernel = [](ThreadCtx& t) -> SimTask {
     co_await middle_level(t);
     co_await t.barrier();  // never reached

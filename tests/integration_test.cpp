@@ -11,6 +11,7 @@
 #include "alg/sort.hpp"
 #include "alg/sum.hpp"
 #include "alg/workload.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -104,9 +105,11 @@ TEST(Integration, RaggedThreadCountsWorkEndToEnd) {
 TEST(Integration, TraceOfAWholeAlgorithmIsConsistent) {
   // Record a full tree-sum trace and validate global invariants: memory
   // events never overlap in the pipeline, and every ready >= end + 1.
-  Machine m = Machine::umm(8, 5, 32, 256, /*record_trace=*/true);
+  Machine m = Machine::umm(8, 5, 32, 256);
   m.global_memory().load(0, alg::iota_words(256));
-  const auto r = m.run([](ThreadCtx& t) -> SimTask {
+  telemetry::CollectingSink sink;
+  m.set_observer(&sink);
+  (void)m.run([](ThreadCtx& t) -> SimTask {
     for (Address i = t.thread_id(); i < 128; i += t.num_threads()) {
       const Word a = co_await t.read(MemorySpace::kGlobal, i);
       const Word b = co_await t.read(MemorySpace::kGlobal, 128 + i);
@@ -116,7 +119,7 @@ TEST(Integration, TraceOfAWholeAlgorithmIsConsistent) {
   });
   Cycle last_end = -1;
   std::int64_t mem_events = 0;
-  std::vector<TraceEvent> events = r.trace;
+  std::vector<TraceEvent> events = sink.events();
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.begin < b.begin;

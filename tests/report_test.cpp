@@ -7,6 +7,7 @@
 #include "report/architecture.hpp"
 #include "report/gantt.hpp"
 #include "report/table.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -82,11 +83,13 @@ TEST(Architecture, RendersTheWiringDifference) {
 }
 
 TEST(Gantt, RendersInjectionsAndFlight) {
-  Machine m = Machine::umm(4, 5, 4, 16, /*record_trace=*/true);
+  Machine m = Machine::umm(4, 5, 4, 16);
+  telemetry::CollectingSink sink;
+  m.set_observer(&sink);
   const auto r = m.run([](ThreadCtx& t) -> SimTask {
     co_await t.read(MemorySpace::kGlobal, t.thread_id());
   });
-  const std::string g = render_gantt(r);
+  const std::string g = render_gantt(r, sink.events());
   EXPECT_NE(g.find("W0"), std::string::npos);
   EXPECT_NE(g.find('I'), std::string::npos);  // injection painted
   EXPECT_NE(g.find('~'), std::string::npos);  // in-flight painted
@@ -95,11 +98,13 @@ TEST(Gantt, RendersInjectionsAndFlight) {
 TEST(Gantt, NoTraceIsExplained) {
   Machine m = Machine::umm(4, 5, 4, 16);
   const auto r = m.run([](ThreadCtx& t) -> SimTask { co_await t.compute(); });
-  EXPECT_NE(render_gantt(r).find("no trace recorded"), std::string::npos);
+  EXPECT_NE(render_gantt(r, {}).find("no trace recorded"), std::string::npos);
 }
 
 TEST(Gantt, ElidesExcessWarpsAndBucketsLongRuns) {
-  Machine m = Machine::umm(4, 50, 64, 4096, /*record_trace=*/true);
+  Machine m = Machine::umm(4, 50, 64, 4096);
+  telemetry::CollectingSink sink;
+  m.set_observer(&sink);
   const auto r = m.run([](ThreadCtx& t) -> SimTask {
     for (Address i = t.thread_id(); i < 4096; i += t.num_threads()) {
       co_await t.read(MemorySpace::kGlobal, i);
@@ -108,10 +113,11 @@ TEST(Gantt, ElidesExcessWarpsAndBucketsLongRuns) {
   GanttOptions opt;
   opt.max_warps = 4;
   opt.max_columns = 40;
-  const std::string g = render_gantt(r, opt);
+  const std::string g = render_gantt(r, sink.events(), opt);
   EXPECT_NE(g.find("12 more warps elided"), std::string::npos);
-  EXPECT_THROW(render_gantt(r, GanttOptions{.max_columns = 2}),
-               PreconditionError);
+  EXPECT_THROW(
+      render_gantt(r, sink.events(), GanttOptions{.max_columns = 2}),
+      PreconditionError);
 }
 
 TEST(Workload, GeneratorsAreDeterministicAndShaped) {

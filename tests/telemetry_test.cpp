@@ -1,5 +1,5 @@
-// Telemetry subsystem: ring/collecting/callback sinks against the legacy
-// record_trace path, observer fanout, and the metrics registry
+// Telemetry subsystem: ring and callback sinks against the full stream a
+// CollectingSink keeps, observer fanout, and the metrics registry
 // cross-validated with the AccessChecker's certified cost histograms.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "alg/workload.hpp"
 #include "analysis/checker.hpp"
 #include "machine/machine.hpp"
-#include "report/gantt.hpp"
 #include "telemetry/fanout.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sink.hpp"
@@ -95,15 +94,13 @@ TEST(RingBufferSink, RealRunStaysWithinReservedStorage) {
   EXPECT_EQ(sink.dropped(), sink.events_seen() - 64);
 
   // The kept window is the newest 64 events of the full stream.
-  Machine machine = Machine::hmm(4, 20, 2, 16, 256 / 2, 256,
-                                 /*record_trace=*/true);
-  machine.global_memory().load(0, xs);
-  const auto full = alg::sort_hmm(machine, 256);
-  ASSERT_EQ(full.report.trace.size(),
+  CollectingSink full;
+  alg::sort_hmm(xs, 2, 16, 4, 20, &full);
+  ASSERT_EQ(full.events().size(),
             static_cast<std::size_t>(sink.events_seen()));
   const std::vector<TraceEvent> kept = sink.events_in_order();
-  const std::vector<TraceEvent> tail(full.report.trace.end() - 64,
-                                     full.report.trace.end());
+  const std::vector<TraceEvent> tail(full.events().end() - 64,
+                                     full.events().end());
   EXPECT_EQ(kept, tail);
 }
 
@@ -120,90 +117,19 @@ TEST(RingBufferSink, ResetsAtRunBegin) {
 }
 
 // ---------------------------------------------------------------------------
-// CollectingSink vs the legacy record_trace flag
-// ---------------------------------------------------------------------------
-
-TEST(CollectingSink, MatchesRecordTraceOnTheSameRun) {
-  const std::int64_t n = 128;
-  const auto xs = alg::random_words(n, 11);
-  Machine machine =
-      Machine::hmm(4, 20, 2, 8, std::max<std::int64_t>(8, 2), n + 2,
-                   /*record_trace=*/true);
-  machine.global_memory().load(0, xs);
-  CollectingSink sink;
-  machine.set_observer(&sink);
-  const auto r = alg::sum_hmm(machine, n);
-  EXPECT_FALSE(r.report.trace.empty());
-  EXPECT_EQ(sink.events(), r.report.trace);
-  EXPECT_EQ(sink.events_seen(),
-            static_cast<std::int64_t>(r.report.trace.size()));
-}
-
-// The pre-PR record_trace path and the sink path must render the exact
-// same Gantt chart (kMemory I/~ rows, kCompute #, kBarrier |).
-void expect_gantt_identical_sum(std::int64_t n) {
-  const auto xs = alg::random_words(n, 5);
-
-  Machine legacy =
-      Machine::hmm(4, 20, 2, 8, std::max<std::int64_t>(8, 2), n + 2,
-                   /*record_trace=*/true);
-  legacy.global_memory().load(0, xs);
-  const auto a = alg::sum_hmm(legacy, n);
-
-  Machine observed =
-      Machine::hmm(4, 20, 2, 8, std::max<std::int64_t>(8, 2), n + 2);
-  observed.global_memory().load(0, xs);
-  CollectingSink sink;
-  observed.set_observer(&sink);
-  const auto b = alg::sum_hmm(observed, n);
-
-  RunReport with_sink_trace = b.report;
-  with_sink_trace.trace = sink.events();
-  EXPECT_EQ(render_gantt(a.report), render_gantt(with_sink_trace));
-}
-
-TEST(CollectingSink, GanttByteIdenticalToRecordTraceSum) {
-  expect_gantt_identical_sum(128);
-}
-
-TEST(CollectingSink, GanttByteIdenticalToRecordTraceSort) {
-  const std::int64_t n = 128;
-  const auto xs = alg::random_words(n, 9);
-
-  Machine legacy = Machine::hmm(4, 20, 2, 16, n / 2, n,
-                                /*record_trace=*/true);
-  legacy.global_memory().load(0, xs);
-  const auto a = alg::sort_hmm(legacy, n);
-
-  Machine observed = Machine::hmm(4, 20, 2, 16, n / 2, n);
-  observed.global_memory().load(0, xs);
-  CollectingSink sink;
-  observed.set_observer(&sink);
-  const auto b = alg::sort_hmm(observed, n);
-
-  RunReport with_sink_trace = b.report;
-  with_sink_trace.trace = sink.events();
-  EXPECT_EQ(a.report.trace, with_sink_trace.trace);
-  EXPECT_EQ(render_gantt(a.report), render_gantt(with_sink_trace));
-}
-
-// ---------------------------------------------------------------------------
 // CallbackSink
 // ---------------------------------------------------------------------------
 
 TEST(CallbackSink, StreamsEveryEventInEmissionOrder) {
-  const std::int64_t n = 64;
-  const auto xs = alg::random_words(n, 13);
+  const auto xs = alg::random_words(64, 13);
   std::vector<TraceEvent> streamed;
   CallbackSink sink([&](const TraceEvent& e) { streamed.push_back(e); });
+  alg::sum_hmm(xs, 2, 8, 4, 20, &sink);
 
-  Machine machine =
-      Machine::hmm(4, 20, 2, 8, std::max<std::int64_t>(8, 2), n + 2,
-                   /*record_trace=*/true);
-  machine.global_memory().load(0, xs);
-  machine.set_observer(&sink);
-  const auto r = alg::sum_hmm(machine, n);
-  EXPECT_EQ(streamed, r.report.trace);
+  CollectingSink full;
+  alg::sum_hmm(xs, 2, 8, 4, 20, &full);
+  EXPECT_FALSE(streamed.empty());
+  EXPECT_EQ(streamed, full.events());
 }
 
 TEST(CallbackSink, RejectsEmptyCallback) {
@@ -240,7 +166,7 @@ TEST(ObserverFanout, ForwardsEventsAndGatesTheTraceChannel) {
   EXPECT_TRUE(fanout.wants_trace_events());
 
   const auto xs = alg::random_words(64, 17);
-  const auto r = alg::sum_hmm(xs, 2, 8, 4, 20, &fanout);
+  alg::sum_hmm(xs, 2, 8, 4, 20, &fanout);
 
   EXPECT_EQ(wants.run_begins, 1);
   EXPECT_EQ(plain.run_begins, 1);
@@ -252,9 +178,6 @@ TEST(ObserverFanout, ForwardsEventsAndGatesTheTraceChannel) {
   EXPECT_EQ(wants.finishes, plain.finishes);
   EXPECT_GT(wants.traces, 0);
   EXPECT_EQ(plain.traces, 0);  // trace channel gated per child
-  // Trace emission was on for this run (a child demanded it), but the
-  // legacy flag was off, so the report itself stays trace-free.
-  EXPECT_TRUE(r.report.trace.empty());
 }
 
 TEST(ObserverFanout, WithoutTraceChildrenTraceChannelStaysOff) {

@@ -4,18 +4,21 @@
 # stdout+stderr plus exit code byte-for-byte against GOLDEN_DIR/NAME.txt:
 # flag sweeps with and without metrics, single-point printers, a checked
 # run, an --analyze sweep, manifest emission and its JSON, a shard run,
-# --dry-run, a --machine sweep and manifest, and the two exit-2 conflicts
-# a non-trivial topology raises.  Rows, manifests and fingerprints must
-# never move under a refactor of the grid code; a deliberate output
-# change regenerates the goldens and says why.
+# --dry-run, a --machine sweep and manifest, the two exit-2 conflicts
+# a non-trivial topology raises, and the timeline_viewer example's Gantt
+# charts.  Rows, manifests, fingerprints and rendered traces must never
+# move under a refactor; a deliberate output change regenerates the
+# goldens and says why.
 #
-#   usage: cli_golden.sh /path/to/hmmsim GOLDEN_DIR MACHINES_DIR
-#   CLI_GOLDEN_UPDATE=1 rewrites GOLDEN_DIR from the given binary.
+#   usage: cli_golden.sh /path/to/hmmsim GOLDEN_DIR MACHINES_DIR \
+#                        /path/to/timeline_viewer
+#   CLI_GOLDEN_UPDATE=1 rewrites GOLDEN_DIR from the given binaries.
 set -eu
 
 HMMSIM=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 GOLDEN=$(cd "$2" && pwd)
 MACHINES="$3"
+TIMELINE=$(cd "$(dirname "$4")" && pwd)/$(basename "$4")
 GRID="sum --n 2048,8192 --l 100,400 --d 4,16"
 NVLINK="--machine=machines/nvlink-2gpu.json"
 
@@ -59,6 +62,7 @@ check machine_emit "$HMMSIM" sum --n 2048,4096 $NVLINK \
 check machine_manifest_json cat mm.json
 check machine_umm "$HMMSIM" sum --n 2048 $NVLINK --model umm
 check machine_analyze "$HMMSIM" sum --n 2048 $NVLINK --analyze
+check timeline_viewer "$TIMELINE"
 
 [ "$failed" -eq 0 ] || exit 1
 echo "cli_golden: OK"
