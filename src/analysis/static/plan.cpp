@@ -384,16 +384,17 @@ RunReport replay_plan_on_machine(const PlanShape& shape, const LaneFn& lane_fn,
     }
   }
 
+  const bool has_global = global_size > 0;
+  std::optional<MemorySpec> shared;
+  if (shared_size > 0) {
+    shared = MemorySpec{shared_size, has_global ? Cycle{1} : latency};
+  } else if (!has_global) {
+    shared = MemorySpec{1, latency};  // a machine needs one memory
+  }
   MachineConfig cfg;
   cfg.width = shape.width;
-  cfg.threads_per_dmm.assign(static_cast<std::size_t>(shape.num_dmms),
-                             shape.threads_per_dmm);
-  const bool has_global = global_size > 0;
-  if (shared_size > 0) {
-    cfg.shared = MemorySpec{shared_size, has_global ? Cycle{1} : latency};
-  } else if (!has_global) {
-    cfg.shared = MemorySpec{1, latency};  // a machine needs one memory
-  }
+  cfg.dmms.assign(static_cast<std::size_t>(shape.num_dmms),
+                  DmmShape{shape.threads_per_dmm, shared, {}});
   if (has_global) cfg.global = MemorySpec{global_size, latency};
 
   Machine machine(std::move(cfg));

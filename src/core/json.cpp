@@ -23,18 +23,19 @@ class Parser {
 
   Value document() {
     skip_ws();
-    Value v = value();
+    Value v = value(0);
     skip_ws();
     if (pos_ != s_.size()) fail(pos_, "trailing input after document");
     return v;
   }
 
  private:
-  Value value() {
+  /// `depth` counts the objects and arrays around this value.
+  Value value(int depth) {
     if (pos_ >= s_.size()) fail(pos_, "unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return object(depth + 1);
+      case '[': return array(depth + 1);
       case '"': return Value::make_string(string());
       case 't': literal("true"); return Value::make_bool(true);
       case 'f': literal("false"); return Value::make_bool(false);
@@ -43,7 +44,14 @@ class Parser {
     }
   }
 
-  Value object() {
+  void check_depth(int depth) const {
+    if (depth > kMaxDepth) {
+      fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+    }
+  }
+
+  Value object(int depth) {
+    check_depth(depth);
     expect('{');
     std::map<std::string, Value> members;
     skip_ws();
@@ -54,21 +62,22 @@ class Parser {
       skip_ws();
       expect(':');
       skip_ws();
-      members[std::move(key)] = value();
+      members[std::move(key)] = value(depth);
       skip_ws();
       if (consume('}')) return Value::make_object(std::move(members));
       expect(',');
     }
   }
 
-  Value array() {
+  Value array(int depth) {
+    check_depth(depth);
     expect('[');
     std::vector<Value> items;
     skip_ws();
     if (consume(']')) return Value::make_array(std::move(items));
     for (;;) {
       skip_ws();
-      items.push_back(value());
+      items.push_back(value(depth));
       skip_ws();
       if (consume(']')) return Value::make_array(std::move(items));
       expect(',');

@@ -66,8 +66,15 @@ class Value {
   std::map<std::string, Value> object_;
 };
 
+/// Deepest object/array nesting parse() accepts.  The parser recurses
+/// once per level, so a deeper document throws PreconditionError rather
+/// than exhausting the stack.  Machine files nest at most 5 levels and a
+/// wire request with an inline machine 6.
+inline constexpr int kMaxDepth = 64;
+
 /// Parse one complete JSON document; throws PreconditionError with a
-/// byte offset on any syntax error or trailing input.
+/// byte offset on any syntax error, trailing input or nesting deeper
+/// than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Serialize a Value to one compact line (no insignificant whitespace,

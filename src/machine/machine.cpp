@@ -15,6 +15,13 @@ namespace {
 // owning thread, so no synchronisation is involved.
 thread_local RunScratch* t_scratch = nullptr;  // Machine::set_thread_scratch
 thread_local const MachineOverlay* t_overlay = nullptr;  // MachineOverlayScope
+
+std::vector<std::int64_t> thread_counts(const std::vector<DmmShape>& dmms) {
+  std::vector<std::int64_t> threads;
+  threads.reserve(dmms.size());
+  for (const DmmShape& s : dmms) threads.push_back(s.threads);
+  return threads;
+}
 }  // namespace
 
 void Machine::set_thread_scratch(RunScratch* scratch) { t_scratch = scratch; }
@@ -31,40 +38,22 @@ MachineOverlayScope::~MachineOverlayScope() { t_overlay = saved_; }
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
-      topology_(config_.width, config_.threads_per_dmm) {
-  HMM_REQUIRE(config_.shared.has_value() || config_.global.has_value(),
+      topology_(config_.width, thread_counts(config_.dmms)) {
+  const bool has_shared = config_.dmms.front().shared.has_value();
+  HMM_REQUIRE(has_shared || config_.global.has_value(),
               "a machine needs at least one memory");
   const MemoryGeometry geom(config_.width);
-  if (config_.shared) {
-    HMM_REQUIRE(config_.shared->size >= 1 && config_.shared->latency >= 1,
+  if (has_shared) shared_.reserve(config_.dmms.size());
+  for (const DmmShape& s : config_.dmms) {
+    HMM_REQUIRE(s.shared.has_value() == has_shared,
+                "either every DMM has a shared memory or none does");
+    HMM_REQUIRE(!s.shared || (s.shared->size >= 1 && s.shared->latency >= 1),
                 "invalid shared memory spec");
-    HMM_REQUIRE(config_.shared_per_dmm.empty() ||
-                    static_cast<std::int64_t>(config_.shared_per_dmm.size()) ==
-                        topology_.num_dmms(),
-                "shared_per_dmm must be empty or have one spec per DMM");
-    shared_.reserve(static_cast<std::size_t>(topology_.num_dmms()));
-    for (DmmId j = 0; j < topology_.num_dmms(); ++j) {
-      const MemorySpec& spec =
-          config_.shared_per_dmm.empty()
-              ? *config_.shared
-              : config_.shared_per_dmm[static_cast<std::size_t>(j)];
-      HMM_REQUIRE(spec.size >= 1 && spec.latency >= 1,
-                  "invalid shared memory spec");
-      shared_.emplace_back(geom, spec, /*dmm=*/true);
-    }
-  } else {
-    HMM_REQUIRE(config_.shared_per_dmm.empty(),
-                "shared_per_dmm requires a shared memory");
-  }
-  HMM_REQUIRE(config_.links.empty() ||
-                  static_cast<std::int64_t>(config_.links.size()) ==
-                      topology_.num_dmms(),
-              "links must be empty or have one entry per DMM");
-  for (const DmmLink& link : config_.links) {
-    HMM_REQUIRE(link.words_per_stage >= 0 && link.latency >= 0,
+    HMM_REQUIRE(s.link.words_per_stage >= 0 && s.link.latency >= 0,
                 "invalid DMM link");
-    HMM_REQUIRE(!link.active() || config_.global.has_value(),
+    HMM_REQUIRE(!s.link.active() || config_.global.has_value(),
                 "DMM links require a global memory");
+    if (s.shared) shared_.emplace_back(geom, *s.shared, /*dmm=*/true);
   }
   if (config_.global) {
     HMM_REQUIRE(config_.global->size >= 1 && config_.global->latency >= 1,
@@ -77,8 +66,7 @@ Machine Machine::dmm(std::int64_t width, Cycle latency,
                      std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
-  cfg.threads_per_dmm = {num_threads};
-  cfg.shared = MemorySpec{memory_size, latency};
+  cfg.dmms = {DmmShape{num_threads, MemorySpec{memory_size, latency}, {}}};
   return Machine(std::move(cfg));
 }
 
@@ -86,7 +74,7 @@ Machine Machine::umm(std::int64_t width, Cycle latency,
                      std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
-  cfg.threads_per_dmm = {num_threads};
+  cfg.dmms = {DmmShape{num_threads, std::nullopt, {}}};
   cfg.global = MemorySpec{memory_size, latency};
   return Machine(std::move(cfg));
 }
@@ -97,31 +85,24 @@ Machine Machine::hmm(std::int64_t width, Cycle global_latency,
                      Cycle shared_latency) {
   MachineConfig cfg;
   cfg.width = width;
-  cfg.threads_per_dmm.assign(static_cast<std::size_t>(num_dmms),
-                             threads_per_dmm);
-  cfg.shared = MemorySpec{shared_size, shared_latency};
   cfg.global = MemorySpec{global_size, global_latency};
-  // A registered topology overlay reshapes the machine the driver asked
-  // for: per-DMM thread counts and shared specs, plus interconnect links.
-  // The driver's shared_size formula (computed for the LARGEST DMM, see
-  // run::run_point) stays the per-DMM floor so kernels keep the room
-  // they sized for.
+  const MemorySpec driver_shared{shared_size, shared_latency};
+  // A registered overlay supplies the DMMs.  The driver's shared_size
+  // formula (computed for the LARGEST DMM, see run::HmmShape) stays each
+  // DMM's floor so kernels keep the room they sized for.
   if (const MachineOverlay* ov = t_overlay) {
-    HMM_REQUIRE(
-        static_cast<std::int64_t>(ov->threads_per_dmm.size()) == num_dmms &&
-            static_cast<std::int64_t>(ov->shared.size()) == num_dmms &&
-            static_cast<std::int64_t>(ov->links.size()) == num_dmms,
-        "machine overlay: the driver built an HMM with " +
-            std::to_string(num_dmms) + " DMMs but the --machine topology " +
-            "describes " + std::to_string(ov->threads_per_dmm.size()));
-    cfg.threads_per_dmm = ov->threads_per_dmm;
-    cfg.shared_per_dmm.reserve(static_cast<std::size_t>(num_dmms));
-    for (std::int64_t j = 0; j < num_dmms; ++j) {
-      const MemorySpec& o = ov->shared[static_cast<std::size_t>(j)];
-      cfg.shared_per_dmm.push_back(
-          MemorySpec{std::max(shared_size, o.size), o.latency});
+    HMM_REQUIRE(static_cast<std::int64_t>(ov->dmms.size()) == num_dmms,
+                "machine overlay: the driver built an HMM with " +
+                    std::to_string(num_dmms) + " DMMs but the --machine " +
+                    "topology describes " + std::to_string(ov->dmms.size()));
+    cfg.dmms = ov->dmms;
+    for (DmmShape& s : cfg.dmms) {
+      const MemorySpec floor = s.shared.value_or(driver_shared);
+      s.shared = MemorySpec{std::max(shared_size, floor.size), floor.latency};
     }
-    cfg.links = ov->links;
+  } else {
+    cfg.dmms.assign(static_cast<std::size_t>(num_dmms),
+                    DmmShape{threads_per_dmm, driver_shared, {}});
   }
   return Machine(std::move(cfg));
 }
@@ -357,8 +338,8 @@ class Engine {
   /// function of (dmm, requests), so the replay path recomputes the
   /// identical surcharge the recording path priced.
   std::int64_t link_extra_stages(DmmId dmm, std::int64_t requests) const {
-    if (machine_.config_.links.empty()) return 0;
-    const DmmLink& link = machine_.config_.links[static_cast<std::size_t>(dmm)];
+    const DmmLink& link =
+        machine_.config_.dmms[static_cast<std::size_t>(dmm)].link;
     if (!link.active()) return 0;
     return link.latency +
            (requests + link.words_per_stage - 1) / link.words_per_stage;

@@ -73,33 +73,32 @@ struct DmmLink {
   friend bool operator==(const DmmLink&, const DmmLink&) = default;
 };
 
-/// Per-DMM deviations from the uniform (d, p, w, l) machine, consulted
-/// by Machine::hmm while a MachineOverlayScope holds one on the calling
-/// thread, because the span drivers (alg::sum_hmm etc.) build their
-/// Machines internally, out of reach of MachineConfig.  All three vectors
-/// must have exactly one entry per DMM of the machine being built;
-/// `shared` carries each DMM's pipeline latency and a MINIMUM word count
-/// that is max-combined with the driver's own size formula.
+/// One DMM of a machine: its threads, its private shared memory (DMM
+/// pricing) and its route to the global memory.  The paper's HMM is d
+/// equal shapes of p/d threads with a latency-1 shared memory and no
+/// link; a --machine topology lets each DMM's shape differ.  Either
+/// every DMM of a machine has a shared memory or none does.
+struct DmmShape {
+  std::int64_t threads = 32;
+  std::optional<MemorySpec> shared;
+  DmmLink link;  ///< inactive for a DMM local to the global memory
+};
+
+/// The DMMs every HMM that Machine::hmm builds on the calling thread
+/// takes while a MachineOverlayScope holds this overlay, because the
+/// span drivers (alg::sum_hmm etc.) build their Machines internally, out
+/// of reach of MachineConfig.  It must have exactly one entry per DMM of
+/// the machine being built; each `shared` carries that DMM's pipeline
+/// latency and a MINIMUM word count that is max-combined with the
+/// driver's own size formula (absent: the driver's spec).
 struct MachineOverlay {
-  std::vector<std::int64_t> threads_per_dmm;
-  std::vector<MemorySpec> shared;
-  std::vector<DmmLink> links;
+  std::vector<DmmShape> dmms;
 };
 
 struct MachineConfig {
   std::int64_t width = 32;
-  std::vector<std::int64_t> threads_per_dmm = {32};
-  std::optional<MemorySpec> shared;  ///< per-DMM shared memory, DMM pricing
+  std::vector<DmmShape> dmms = {DmmShape{}};
   std::optional<MemorySpec> global;  ///< one global memory, UMM pricing
-  /// Per-DMM shared-memory specs (heterogeneous topologies).  Empty means
-  /// "every DMM uses `shared`"; otherwise exactly one entry per DMM, and
-  /// `shared` must still be set (it remains the has-shared flag and the
-  /// uniform fallback for reporting).
-  std::vector<MemorySpec> shared_per_dmm;
-  /// Per-DMM interconnect links (empty = all DMMs local to the global
-  /// memory; otherwise exactly one entry per DMM, inactive entries for
-  /// local DMMs).
-  std::vector<DmmLink> links;
   /// Round-pattern memoization and verified fast-forward replay of
   /// periodic warps (default on).  Results are identical either way —
   /// the replay path re-verifies every lane's request before trusting a
@@ -209,15 +208,14 @@ class Machine {
 };
 
 /// Installs `overlay` on the calling thread for the span of one dispatch:
-/// every HMM that Machine::hmm builds meanwhile adopts the overlay's
-/// per-DMM thread counts, shared specs and links (the DMM count must
-/// match — a driver constructing a differently-shaped machine under an
-/// overlay is a precondition error).  This is how a non-trivial
-/// --machine topology reaches the span drivers; see run::run_point.
-/// Machine::dmm / Machine::umm ignore the overlay.  Not owned: it must
-/// outlive the scope.  nullptr clears any overlay for the scope's
-/// lifetime.  The destructor restores the previous one, even when the
-/// guarded code throws.
+/// every HMM that Machine::hmm builds meanwhile adopts the overlay's DMM
+/// shapes (the DMM count must match — a driver constructing a
+/// differently-shaped machine under an overlay is a precondition error).
+/// This is how every hmm point, flag or --machine, reaches the span
+/// drivers; see run::HmmShape.  Machine::dmm / Machine::umm ignore the
+/// overlay.  Not owned: it must outlive the scope.  nullptr clears any
+/// overlay for the scope's lifetime.  The destructor restores the
+/// previous one, even when the guarded code throws.
 class MachineOverlayScope {
  public:
   explicit MachineOverlayScope(const MachineOverlay* overlay);

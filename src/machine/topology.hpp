@@ -31,18 +31,6 @@ class Topology {
     }
   }
 
-  /// Even split of `total_threads` over `num_dmms` DMMs (must divide).
-  static Topology even(std::int64_t width, std::int64_t num_dmms,
-                       std::int64_t total_threads) {
-    HMM_REQUIRE(num_dmms >= 1, "topology: need >= 1 DMM");
-    HMM_REQUIRE(total_threads >= 1 && total_threads % num_dmms == 0,
-                "topology: total threads must be a positive multiple of the "
-                "number of DMMs");
-    return Topology(width, std::vector<std::int64_t>(
-                               static_cast<std::size_t>(num_dmms),
-                               total_threads / num_dmms));
-  }
-
   std::int64_t width() const { return width_; }
   std::int64_t num_dmms() const {
     return static_cast<std::int64_t>(threads_per_dmm_.size());
@@ -60,14 +48,6 @@ class Topology {
   ThreadId first_thread(DmmId j) const { return thread_base_[checked(j)]; }
   /// First global warp id of DMM j.
   WarpId first_warp(DmmId j) const { return warp_base_[checked(j)]; }
-
-  DmmId dmm_of_warp(WarpId w) const {
-    HMM_REQUIRE(w >= 0 && w < total_warps(), "warp id out of range");
-    // total_warps is small; linear scan keeps this trivially correct.
-    DmmId j = 0;
-    while (warp_base_[static_cast<std::size_t>(j) + 1] <= w) ++j;
-    return j;
-  }
 
  private:
   std::size_t checked(DmmId j) const {

@@ -119,36 +119,18 @@ std::int64_t TopologySpec::max_threads_per_dmm() const {
   return mx;
 }
 
-bool TopologySpec::has_links() const {
-  for (const DmmShape& s : shapes) {
-    if (s.link.active()) return true;
-  }
-  return false;
-}
-
 bool TopologySpec::is_trivial() const {
   if (hmms.size() != 1 || !links.empty()) return false;
   for (const DmmShape& s : shapes) {
-    if (s.threads != shapes.front().threads || s.shared_latency != 1 ||
-        s.shared_size != 0 || s.link.active()) {
+    if (s.threads != shapes.front().threads || s.shared->latency != 1 ||
+        s.shared->size != 0) {
       return false;
     }
   }
   return true;
 }
 
-MachineOverlay TopologySpec::overlay() const {
-  MachineOverlay ov;
-  ov.threads_per_dmm.reserve(shapes.size());
-  ov.shared.reserve(shapes.size());
-  ov.links.reserve(shapes.size());
-  for (const DmmShape& s : shapes) {
-    ov.threads_per_dmm.push_back(s.threads);
-    ov.shared.push_back(MemorySpec{s.shared_size, s.shared_latency});
-    ov.links.push_back(s.link);
-  }
-  return ov;
-}
+MachineOverlay TopologySpec::overlay() const { return MachineOverlay{shapes}; }
 
 std::string TopologySpec::canonical() const {
   // Fingerprint the RESOLVED machine, not the document: two spellings of
@@ -156,20 +138,23 @@ std::string TopologySpec::canonical() const {
   // canonicalize identically, and any engine-visible change must not.
   std::vector<json::Value> dmms;
   dmms.reserve(shapes.size());
-  for (const DmmShape& s : shapes) {
-    std::map<std::string, json::Value> d;
-    d.emplace("hmm", json::Value::make_int(s.hmm));
-    d.emplace("threads", json::Value::make_int(s.threads));
-    d.emplace("shared_latency", json::Value::make_int(s.shared_latency));
-    d.emplace("shared_size", json::Value::make_int(s.shared_size));
-    if (s.link.active()) {
-      d.emplace("link",
-                json::Value::make_array({
-                    json::Value::make_int(s.link.latency),
-                    json::Value::make_int(s.link.words_per_stage),
-                }));
+  auto s = shapes.begin();
+  for (std::size_t h = 0; h < hmms.size(); ++h) {
+    for (std::int64_t j = 0; j < hmms[h].dmms; ++j, ++s) {
+      std::map<std::string, json::Value> d;
+      d.emplace("hmm", json::Value::make_int(static_cast<std::int64_t>(h)));
+      d.emplace("threads", json::Value::make_int(s->threads));
+      d.emplace("shared_latency", json::Value::make_int(s->shared->latency));
+      d.emplace("shared_size", json::Value::make_int(s->shared->size));
+      if (s->link.active()) {
+        d.emplace("link",
+                  json::Value::make_array({
+                      json::Value::make_int(s->link.latency),
+                      json::Value::make_int(s->link.words_per_stage),
+                  }));
+      }
+      dmms.push_back(json::Value::make_object(std::move(d)));
     }
-    dmms.push_back(json::Value::make_object(std::move(d)));
   }
   std::map<std::string, json::Value> top;
   top.emplace("v", json::Value::make_int(1));
@@ -354,7 +339,6 @@ void TopologySpec::finalize() {
 
   // Resolve per-DMM shapes.
   shapes.clear();
-  std::int64_t total = 0;
   for (std::size_t i = 0; i < nh; ++i) {
     HmmSpec& h = hmms[i];
     const std::string where = "hmm \"" + h.name + "\"";
@@ -383,10 +367,10 @@ void TopologySpec::finalize() {
       link.latency = dist[i];
       link.words_per_stage = bw[i];
     }
-    std::vector<DmmShape> local(
-        static_cast<std::size_t>(h.dmms),
-        DmmShape{static_cast<std::int64_t>(i), h.threads_per_dmm,
-                 h.shared_latency, h.shared_size, link});
+    const std::size_t first = shapes.size();
+    shapes.resize(first + static_cast<std::size_t>(h.dmms),
+                  DmmShape{h.threads_per_dmm,
+                           MemorySpec{h.shared_size, h.shared_latency}, link});
     std::vector<char> overridden(static_cast<std::size_t>(h.dmms), 0);
     for (const DmmOverride& o : h.overrides) {
       if (o.dmm < 0 || o.dmm >= h.dmms) {
@@ -399,18 +383,14 @@ void TopologySpec::finalize() {
                          std::to_string(o.dmm));
       }
       overridden[static_cast<std::size_t>(o.dmm)] = 1;
-      DmmShape& s = local[static_cast<std::size_t>(o.dmm)];
+      DmmShape& s = shapes[first + static_cast<std::size_t>(o.dmm)];
       if (o.threads) s.threads = *o.threads;
-      if (o.shared_latency) s.shared_latency = *o.shared_latency;
-      if (o.shared_size) s.shared_size = *o.shared_size;
-    }
-    for (const DmmShape& s : local) {
-      total += s.threads;
-      shapes.push_back(s);
+      if (o.shared_latency) s.shared->latency = *o.shared_latency;
+      if (o.shared_size) s.shared->size = *o.shared_size;
     }
   }
-  if (total > kMaxCount) {
-    fail(source, "total thread count " + std::to_string(total) +
+  if (total_threads() > kMaxCount) {
+    fail(source, "total thread count " + std::to_string(total_threads()) +
                      " exceeds the limit " + std::to_string(kMaxCount));
   }
 }

@@ -31,11 +31,13 @@
 // message naming the offending key (hmmsim maps this to its own exit
 // code, distinct from generic usage errors).
 //
-// A spec whose resolved machine is expressible as plain flags — one HMM,
-// uniform thread counts, shared latency 1, no size floors, no links — is
-// TRIVIAL: callers run it through the exact code path flags take, so a
-// flag run and its equivalent JSON are byte-identical by construction.
-// Non-trivial specs travel to the span drivers as a MachineOverlay.
+// On the hmm model every spec travels to the span drivers as a
+// MachineOverlay of its resolved DMM shapes, and flag points travel as
+// the overlay of their uniform machine, so a flag run and its equivalent
+// JSON take one path (run::HmmShape).
+// A spec expressible as plain flags — one HMM, uniform thread counts,
+// shared latency 1, no size floors, no links — is TRIVIAL: it
+// fingerprints as its flags and may run on the umm model.
 #pragma once
 
 #include <cstdint>
@@ -88,16 +90,6 @@ struct LinkSpec {
   std::int64_t words_per_stage = 1;
 };
 
-/// The fully resolved shape of one DMM of the flattened machine: what
-/// the engine actually simulates.
-struct DmmShape {
-  std::int64_t hmm = 0;  ///< owning HMM index
-  std::int64_t threads = 0;
-  Cycle shared_latency = 1;
-  std::int64_t shared_size = 0;  ///< minimum words; 0 = driver-sized
-  DmmLink link;  ///< route to the home HMM; inactive when local
-};
-
 class TopologySpec {
  public:
   std::string name = "machine";
@@ -107,8 +99,11 @@ class TopologySpec {
   std::vector<LinkSpec> links;
   std::string home;  ///< name of the HMM owning the global memory
 
-  /// Per-DMM resolved shapes, in HMM declaration order (filled by
-  /// finalize(); parse/synthesize always return finalized specs).
+  /// Per-DMM resolved shapes, in HMM declaration order: hmms[0].dmms
+  /// shapes, then hmms[1].dmms, ...  Each `shared` is set, its size a
+  /// MINIMUM (0 = driver-sized); each link is the DMM's route to the home
+  /// HMM, inactive when local.  Filled by finalize(); parse/synthesize
+  /// always return finalized specs.
   std::vector<DmmShape> shapes;
 
   // ---- derived flat axes ----------------------------------------------
@@ -117,17 +112,15 @@ class TopologySpec {
   }
   std::int64_t total_threads() const;
   std::int64_t max_threads_per_dmm() const;
-  bool has_links() const;
 
   /// True when the resolved machine is expressible as plain
   /// (d, p, w, l) flags: one HMM, uniform thread counts, shared
-  /// latency 1, no shared-size floors, no links.  Trivial specs take the
-  /// untouched flag code path, so flag runs and their JSON equivalents
-  /// are byte-identical by construction.
+  /// latency 1, no shared-size floors, no links.  It decides only two
+  /// things: a trivial spec leaves the grid fingerprint as its flags
+  /// (run::GridSpec::adopt), and only a trivial spec may run on umm.
   bool is_trivial() const;
 
-  /// The per-DMM overlay a non-trivial spec installs around one driver
-  /// dispatch (MachineOverlayScope).
+  /// The overlay every hmm dispatch installs (run::HmmShape): `shapes`.
   MachineOverlay overlay() const;
 
   /// Canonical fingerprint text of the MACHINE the spec resolves to —

@@ -15,31 +15,32 @@ namespace hmm::run {
 
 namespace {
 
-std::optional<MachineOverlay> overlay_of(const Point& o) {
-  if (o.machine == nullptr || o.machine->is_trivial()) return std::nullopt;
+MachineOverlay overlay_of(const Point& o) {
   if (o.model != "hmm") {
-    throw PreconditionError(
-        "--machine topologies with per-DMM overrides or links require the "
-        "hmm model");
+    if (o.machine != nullptr && !o.machine->is_trivial()) {
+      throw PreconditionError(
+          "--machine topologies with per-DMM overrides or links require the "
+          "hmm model");
+    }
+    return {};
   }
-  return o.machine->overlay();
-}
-
-std::int64_t flat_threads_per_dmm(const Point& o) {
-  if (o.model != "hmm") return 0;
+  if (o.machine != nullptr) return o.machine->overlay();
   if (o.d < 1 || o.p % o.d != 0 || o.p / o.d < 1) {
     throw PreconditionError("--p must be a positive multiple of --d");
   }
-  return o.p / o.d;
+  return {std::vector<DmmShape>(static_cast<std::size_t>(o.d),
+                                DmmShape{o.p / o.d, MemorySpec{0, 1}, {}})};
 }
 
 }  // namespace
 
 HmmShape::HmmShape(const Point& o)
     : overlay_(overlay_of(o)),
-      scope_(overlay_ ? &*overlay_ : nullptr),
-      threads_per_dmm_(overlay_ ? o.machine->max_threads_per_dmm()
-                                : flat_threads_per_dmm(o)) {}
+      scope_(overlay_.dmms.empty() ? nullptr : &overlay_) {
+  for (const DmmShape& s : overlay_.dmms) {
+    threads_per_dmm_ = std::max(threads_per_dmm_, s.threads);
+  }
+}
 
 PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
                        EngineObserver* observer) {

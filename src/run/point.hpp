@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "alg/workload.hpp"
@@ -35,12 +34,11 @@ struct Point {
   bool fast_forward = true;
   /// Declarative machine topology (--machine=FILE), already resolved to
   /// the flat axes above by GridSpec::adopt (p = total threads, d = total
-  /// DMMs, w = width, l = global latency).  null or a TRIVIAL spec run
-  /// the untouched flag path — byte-identity between a flag run and its
-  /// synthesized JSON is by construction.  A non-trivial spec registers
-  /// a MachineOverlay around the dispatch (hmm model only) so the span
-  /// drivers build the heterogeneous/multi-HMM machine.  Shared because
-  /// every point of a sweep references one parsed spec across workers.
+  /// DMMs, w = width, l = global latency).  On the hmm model its DMM
+  /// shapes are the overlay the dispatch installs (HmmShape); null means
+  /// the uniform machine of (p, d).  Only a TRIVIAL spec may run on umm.
+  /// Shared because every point of a sweep references one parsed spec
+  /// across workers.
   std::shared_ptr<const topo::TopologySpec> machine;
 
   friend bool operator==(const Point&, const Point&) = default;
@@ -55,24 +53,25 @@ struct PointOutcome {
 };
 
 /// The HMM shape a point runs on, for one dispatch (run_point and
-/// `hmmsim --check`): installs a non-trivial topology's MachineOverlay
-/// until destruction and computes the per-DMM thread count the span
-/// drivers take.  Throws PreconditionError when a non-trivial topology
-/// meets a model other than hmm, or when p is not a positive multiple of
-/// d on the flat hmm machine.
+/// `hmmsim --check`).  On the hmm model it installs the point's DMMs as a
+/// MachineOverlay until destruction — the topology's shapes, or d
+/// uniform DMMs of p/d threads with a latency-1 shared memory — so flag
+/// and --machine points reach the engine one way.  Throws
+/// PreconditionError when a non-trivial topology meets a model other
+/// than hmm, or when p is not a positive multiple of d on a flag point.
 class HmmShape {
  public:
   explicit HmmShape(const Point& point);
 
-  /// The LARGEST DMM's thread count under an overlay — the drivers'
-  /// shared-size formulas are nondecreasing in it, so every kernel gets
-  /// the room it expects — p / d on the flat hmm machine, 0 on umm.
+  /// The LARGEST DMM's thread count — the drivers' shared-size formulas
+  /// are nondecreasing in it, so every kernel gets the room it expects —
+  /// 0 on umm.
   std::int64_t threads_per_dmm() const { return threads_per_dmm_; }
 
  private:
-  std::optional<MachineOverlay> overlay_;
+  MachineOverlay overlay_;
   MachineOverlayScope scope_;
-  std::int64_t threads_per_dmm_;
+  std::int64_t threads_per_dmm_ = 0;
 };
 
 /// Execute `point` on a fresh machine, reading inputs through the shared

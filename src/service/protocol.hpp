@@ -21,6 +21,7 @@
 // construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -35,6 +36,13 @@
 namespace hmm::service {
 
 // ---- requests (client -> server) ----------------------------------------
+
+/// Longest request line the daemon reads, in bytes without the newline.
+/// A longer line gets an error frame, counts as rejected and closes its
+/// connection, so a peer streaming bytes without a newline cannot grow
+/// the daemon's memory.  The largest legitimate line, a run request with
+/// an inline machine, is a few KB.
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 /// Execute a run or sweep: the hmmsim axes, each a value list; more than
 /// one value on any axis makes it a sweep over the cartesian grid.  The

@@ -321,12 +321,21 @@ void Server::reader_loop(ConnectionPtr conn) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     std::size_t nl;
-    while ((nl = buffer.find('\n', start)) != std::string::npos) {
+    while ((nl = buffer.find('\n', start)) != std::string::npos &&
+           nl - start <= kMaxRequestLine) {
       const std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty()) dispatch_line(conn, line);
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestLine) {  // the next line is too long
+      stats_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
+      send_frame(conn, ErrorFrame{"", "request line longer than " +
+                                          std::to_string(kMaxRequestLine) +
+                                          " bytes; closing the connection"});
+      ::shutdown(conn->fd, SHUT_RDWR);
+      break;
+    }
   }
   conn->dead.store(true, std::memory_order_relaxed);
 }

@@ -90,7 +90,7 @@ TEST(Determinism, SweepReportsIdenticalAcrossThreadCounts) {
     run::SweepRunner(threads).for_each(points, [&](std::int64_t g) {
       MachineConfig config;
       config.width = 16;
-      config.threads_per_dmm = {32 + 16 * (g % 3)};
+      config.dmms = {DmmShape{32 + 16 * (g % 3), std::nullopt, {}}};
       config.global = MemorySpec{1 << 12, 50 + 25 * (g % 4)};
       Machine machine(std::move(config));
       telemetry::CollectingSink sink;  // every other point is traced
@@ -136,7 +136,9 @@ TEST(Determinism, SweepForEachCoversEveryIndexExactlyOnce) {
 
 struct FfDriver {
   const char* name;
-  std::function<RunReport(bool)> run;
+  std::function<RunReport(bool ff, EngineObserver* observer)> run;
+  std::int64_t dmms = 0;             ///< d of an hmm driver, 0 on umm
+  std::int64_t threads_per_dmm = 0;  ///< its p/d
 };
 
 std::vector<FfDriver> ff_drivers() {
@@ -152,69 +154,73 @@ std::vector<FfDriver> ff_drivers() {
   const auto b = alg::random_words(16 * 16, 41);
   return {
       {"sum_umm",
-       [=](bool ff) {
-         return alg::sum_umm(xs, 256, 32, 100, nullptr, ff).report;
+       [=](bool ff, EngineObserver* obs) {
+         return alg::sum_umm(xs, 256, 32, 100, obs, ff).report;
        }},
       {"sum_hmm",
-       [=](bool ff) {
-         return alg::sum_hmm(xs, 4, 64, 32, 100, nullptr, ff).report;
-       }},
+       [=](bool ff, EngineObserver* obs) {
+         return alg::sum_hmm(xs, 4, 64, 32, 100, obs, ff).report;
+       },
+       4, 64},
       {"prefix_sums_umm",
-       [=](bool ff) {
-         return alg::prefix_sums_umm(xs, 256, 32, 100, nullptr, ff).report;
+       [=](bool ff, EngineObserver* obs) {
+         return alg::prefix_sums_umm(xs, 256, 32, 100, obs, ff).report;
        }},
       {"prefix_sums_hmm",
-       [=](bool ff) {
-         return alg::prefix_sums_hmm(xs, 4, 64, 32, 100, nullptr, ff).report;
-       }},
+       [=](bool ff, EngineObserver* obs) {
+         return alg::prefix_sums_hmm(xs, 4, 64, 32, 100, obs, ff).report;
+       },
+       4, 64},
       {"sort_umm",
-       [=](bool ff) {
-         return alg::sort_umm(keys, 128, 32, 100, nullptr, ff).report;
+       [=](bool ff, EngineObserver* obs) {
+         return alg::sort_umm(keys, 128, 32, 100, obs, ff).report;
        }},
       {"sort_hmm",
-       [=](bool ff) {
-         return alg::sort_hmm(keys, 4, 32, 32, 100, nullptr, ff).report;
-       }},
+       [=](bool ff, EngineObserver* obs) {
+         return alg::sort_hmm(keys, 4, 32, 32, 100, obs, ff).report;
+       },
+       4, 32},
       {"convolution_umm",
-       [=](bool ff) {
-         return alg::convolution_umm(taps, sig, 256, 32, 100, nullptr, ff)
+       [=](bool ff, EngineObserver* obs) {
+         return alg::convolution_umm(taps, sig, 256, 32, 100, obs, ff)
              .report;
        }},
       {"convolution_hmm",
-       [=](bool ff) {
-         return alg::convolution_hmm(taps, sig, 4, 32, 32, 100, nullptr, ff)
+       [=](bool ff, EngineObserver* obs) {
+         return alg::convolution_hmm(taps, sig, 4, 32, 32, 100, obs, ff)
              .report;
-       }},
+       },
+       4, 32},
       {"matmul_umm",
-       [=](bool ff) {
-         return alg::matmul_umm(a, b, 16, 256, 32, 100, nullptr, ff).report;
+       [=](bool ff, EngineObserver* obs) {
+         return alg::matmul_umm(a, b, 16, 256, 32, 100, obs, ff).report;
        }},
       {"matmul_hmm_tiled",
-       [=](bool ff) {
+       [=](bool ff, EngineObserver* obs) {
          return alg::matmul_hmm_tiled(a, b, 16, 4, 32, 32, 100, /*tile=*/8,
-                                      nullptr, ff)
+                                      obs, ff)
              .report;
-       }},
+       },
+       4, 32},
       {"string_match_umm",
-       [=](bool ff) {
-         return alg::string_match_umm(pattern, text, 128, 32, 100, nullptr,
-                                      ff)
+       [=](bool ff, EngineObserver* obs) {
+         return alg::string_match_umm(pattern, text, 128, 32, 100, obs, ff)
              .report;
        }},
       {"string_match_hmm",
-       [=](bool ff) {
-         return alg::string_match_hmm(pattern, text, 4, 32, 32, 100, nullptr,
-                                      ff)
+       [=](bool ff, EngineObserver* obs) {
+         return alg::string_match_hmm(pattern, text, 4, 32, 32, 100, obs, ff)
              .report;
-       }},
+       },
+       4, 32},
   };
 }
 
 TEST(FastForwardEquivalence, EverySpanDriverMatchesWithReplayOff) {
   std::int64_t replayed_on = 0;
   for (const FfDriver& d : ff_drivers()) {
-    const RunReport on = d.run(true);
-    const RunReport off = d.run(false);
+    const RunReport on = d.run(true, nullptr);
+    const RunReport off = d.run(false, nullptr);
     EXPECT_EQ(on, off) << d.name;
     EXPECT_EQ(off.fast_forward.replayed_rounds, 0)
         << d.name << ": off must not replay";
@@ -269,26 +275,64 @@ TEST(Determinism, WarmPatternCacheNeverChangesResults) {
   const std::vector<FfDriver> drivers = ff_drivers();
   std::vector<RunReport> cold(drivers.size());
   for (std::size_t i = 0; i < drivers.size(); ++i) {
-    std::thread([&] { cold[i] = drivers[i].run(true); }).join();
+    std::thread([&] { cold[i] = drivers[i].run(true, nullptr); }).join();
   }
   std::thread([&] {
     RunScratch scratch;
     Machine::set_thread_scratch(&scratch);
-    for (const FfDriver& d : drivers) d.run(true);
+    for (const FfDriver& d : drivers) d.run(true, nullptr);
     for (std::size_t i = 0; i < drivers.size(); ++i) {
-      const RunReport warm = drivers[i].run(true);
+      const RunReport warm = drivers[i].run(true, nullptr);
       EXPECT_EQ(warm, cold[i]) << drivers[i].name;
       EXPECT_EQ(warm.fast_forward.cache_misses, 0) << drivers[i].name;
     }
     Machine::set_thread_scratch(nullptr);
     for (std::size_t i = 0; i < drivers.size(); ++i) {
-      const FastForwardStats again = drivers[i].run(true).fast_forward;
+      const FastForwardStats again =
+          drivers[i].run(true, nullptr).fast_forward;
       EXPECT_EQ(again.cache_hits, cold[i].fast_forward.cache_hits)
           << drivers[i].name;
       EXPECT_EQ(again.cache_misses, cold[i].fast_forward.cache_misses)
           << drivers[i].name;
     }
   }).join();
+}
+
+// Every hmm point reaches the engine under an overlay (run::HmmShape):
+// the uniform overlay of a driver's own (d, p/d) — shared floor 0,
+// latency 1, no links — must build exactly the machine the driver
+// builds without one: equal reports, replay counters and traces.
+TEST(Determinism, UniformOverlayChangesNothing) {
+  int hmm_drivers = 0;
+  for (const FfDriver& d : ff_drivers()) {
+    if (d.dmms == 0) continue;
+    ++hmm_drivers;
+    const MachineOverlay uniform{std::vector<DmmShape>(
+        static_cast<std::size_t>(d.dmms),
+        DmmShape{d.threads_per_dmm, MemorySpec{0, 1}, {}})};
+    for (const bool ff : {true, false}) {
+      const auto run = [&](const MachineOverlay* overlay,
+                           EngineObserver* observer) {
+        const MachineOverlayScope scope(overlay);
+        return d.run(ff, observer);
+      };
+      const RunReport plain = run(nullptr, nullptr);
+      const RunReport overlaid = run(&uniform, nullptr);
+      EXPECT_EQ(plain, overlaid) << d.name << " ff=" << ff;
+      EXPECT_EQ(plain.fast_forward.replayed_rounds,
+                overlaid.fast_forward.replayed_rounds)
+          << d.name << " ff=" << ff;
+
+      telemetry::CollectingSink plain_sink;
+      telemetry::CollectingSink overlaid_sink;
+      EXPECT_EQ(run(nullptr, &plain_sink), run(&uniform, &overlaid_sink))
+          << d.name << " ff=" << ff;
+      ASSERT_FALSE(plain_sink.events().empty()) << d.name;
+      EXPECT_EQ(plain_sink.events(), overlaid_sink.events())
+          << d.name << " ff=" << ff;
+    }
+  }
+  EXPECT_EQ(hmm_drivers, 6);
 }
 
 TEST(Determinism, SweepPropagatesWorkerExceptions) {

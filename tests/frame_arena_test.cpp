@@ -108,8 +108,7 @@ TEST(FrameArenaTest, ArenaFramesMayOutliveTheScope) {
 MachineConfig barrier_config() {
   MachineConfig cfg;
   cfg.width = 32;
-  cfg.threads_per_dmm = {128};
-  cfg.shared = MemorySpec{64, 1};
+  cfg.dmms = {DmmShape{128, MemorySpec{64, 1}, {}}};
   return cfg;
 }
 

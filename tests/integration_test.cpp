@@ -94,8 +94,9 @@ TEST(Integration, RaggedThreadCountsWorkEndToEnd) {
   // Uneven threads per DMM via explicit config.
   MachineConfig cfg;
   cfg.width = 8;
-  cfg.threads_per_dmm = {20, 7, 33};
-  cfg.shared = MemorySpec{64, 1};
+  cfg.dmms = {DmmShape{20, MemorySpec{64, 1}, {}},
+              DmmShape{7, MemorySpec{64, 1}, {}},
+              DmmShape{33, MemorySpec{64, 1}, {}}};
   cfg.global = MemorySpec{1024 + 3, 40};
   Machine m(std::move(cfg));
   m.global_memory().load(0, xs);

@@ -48,14 +48,25 @@ TEST(MachineConfig, InvalidSpecsAreRejected) {
 
   MachineConfig no_memory;
   no_memory.width = 4;
-  no_memory.threads_per_dmm = {4};
+  no_memory.dmms = {DmmShape{4, std::nullopt, {}}};
   EXPECT_THROW(Machine{std::move(no_memory)}, PreconditionError);
 
   MachineConfig bad_shared;
   bad_shared.width = 4;
-  bad_shared.threads_per_dmm = {4};
-  bad_shared.shared = MemorySpec{16, 0};
+  bad_shared.dmms = {DmmShape{4, MemorySpec{16, 0}, {}}};
   EXPECT_THROW(Machine{std::move(bad_shared)}, PreconditionError);
+
+  MachineConfig mixed_shared;  // every DMM has a shared memory or none does
+  mixed_shared.width = 4;
+  mixed_shared.dmms = {DmmShape{4, MemorySpec{16, 1}, {}},
+                       DmmShape{4, std::nullopt, {}}};
+  mixed_shared.global = MemorySpec{16, 1};
+  EXPECT_THROW(Machine{std::move(mixed_shared)}, PreconditionError);
+
+  MachineConfig link_without_global;
+  link_without_global.width = 4;
+  link_without_global.dmms = {DmmShape{4, MemorySpec{16, 1}, DmmLink{1, 4}}};
+  EXPECT_THROW(Machine{std::move(link_without_global)}, PreconditionError);
 }
 
 TEST(MachineConfig, RunRequiresACallableKernel) {

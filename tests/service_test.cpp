@@ -6,6 +6,7 @@
 // drain → bye).
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <optional>
@@ -554,6 +555,113 @@ TEST(Service, AdmissionAdoptsTheMachineTopology) {
   EXPECT_TRUE(rejected);
   EXPECT_EQ(row.rfind("sum,hmm,1024,32,128,32,400,4,", 0), 0u) << row;
   serve.join();
+}
+
+/// A raw socket to the daemon, for request lines no Client would send.
+class RawConnection {
+ public:
+  explicit RawConnection(const service::Address& address)
+      : fd_(service::connect_address(address)) {}
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  /// Write `bytes` verbatim; stops once the daemon closes its side.
+  void write(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// The next frame, or nullopt once the daemon closes the connection.
+  std::optional<Frame> read_frame() {
+    std::size_t nl = 0;
+    while ((nl = buffer_.find('\n')) == std::string::npos) {
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return std::nullopt;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+    const std::string line = buffer_.substr(0, nl);
+    buffer_.erase(0, nl + 1);
+    return service::frame_from_json(json::parse(line));
+  }
+
+ private:
+  int fd_;
+  std::string buffer_;
+};
+
+std::string request_line(const Request& request) {
+  return json::to_string(service::request_json(request)) + "\n";
+}
+
+// Hostile lines: one nested past json::kMaxDepth is an ordinary parse
+// error on a connection that keeps serving; one longer than
+// kMaxRequestLine is refused and its connection closed, while other
+// clients are still answered.
+TEST(Service, OverDeepLineGetsAnErrorFrameAndTheConnectionServesOn) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_deep_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  RawConnection raw(config.listen);
+  ASSERT_TRUE(raw.read_frame().has_value());  // hello
+  raw.write(std::string(200000, '[') + "\n");
+  const auto error = raw.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::ErrorFrame>(*error));
+  EXPECT_NE(std::get<service::ErrorFrame>(*error).message.find("nesting"),
+            std::string::npos);
+  raw.write(request_line(service::PingRequest{"after"}));
+  const auto pong = raw.read_frame();
+  ASSERT_TRUE(pong.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::PongFrame>(*pong));
+  EXPECT_EQ(std::get<service::PongFrame>(*pong).req, "after");
+
+  raw.write(request_line(service::DrainRequest{"d"}));
+  serve.join();
+  EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
+}
+
+TEST(Service, OverLongLineIsRefusedAndItsConnectionClosed) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_long_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  service::Client other;
+  other.connect(config.listen);
+
+  RawConnection raw(config.listen);
+  ASSERT_TRUE(raw.read_frame().has_value());  // hello
+  raw.write(std::string(std::size_t{2} << 20, 'x'));  // no newline
+  const auto error = raw.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::ErrorFrame>(*error));
+  EXPECT_NE(std::get<service::ErrorFrame>(*error).message.find(
+                std::to_string(service::kMaxRequestLine)),
+            std::string::npos);
+  EXPECT_FALSE(raw.read_frame().has_value()) << "connection left open";
+
+  other.send(service::PingRequest{"still"});
+  const auto pong = other.read_frame();
+  ASSERT_TRUE(pong.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::PongFrame>(*pong));
+  EXPECT_EQ(std::get<service::PongFrame>(*pong).req, "still");
+
+  other.send(service::DrainRequest{"d"});
+  serve.join();
+  EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
 }
 
 }  // namespace

@@ -309,6 +309,21 @@ TEST(Json, RejectsMalformedDocuments) {
   }
 }
 
+// The parser recurses once per level: nesting is bounded, so a hostile
+// document is a PreconditionError, never a stack overflow.
+TEST(Json, NestingDeeperThanTheLimitIsRejected) {
+  const auto nested = [](int depth) {  // alternating arrays and objects
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += i % 2 == 0 ? "[" : "{\"k\":";
+    doc += '0';
+    for (int i = depth - 1; i >= 0; --i) doc += i % 2 == 0 ? ']' : '}';
+    return doc;
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), PreconditionError);
+  EXPECT_THROW(json::parse(std::string(200000, '[')), PreconditionError);
+}
+
 TEST(Json, EscapeRoundTripsThroughParse) {
   const std::string nasty = "a\"b\\c\nd\te\x01f";
   const std::string doc = "\"" + json::escape(nasty) + "\"";

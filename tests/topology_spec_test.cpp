@@ -32,7 +32,6 @@ TEST(TopologySpec, DefaultsAndDerivedAxes) {
   EXPECT_EQ(spec.max_threads_per_dmm(), 32);
   EXPECT_EQ(spec.hmms.at(0).name, "hmm0");
   EXPECT_EQ(spec.home, "hmm0");
-  EXPECT_FALSE(spec.has_links());
   EXPECT_TRUE(spec.is_trivial());
 }
 
@@ -255,9 +254,9 @@ TEST(TopologySpec, FlagRunsEqualSynthesizedJsonAcrossAllDrivers) {
   }
 }
 
-// A spec that is non-trivial only through a redundant size floor takes
-// the OVERLAY path yet must still reproduce the flag run exactly: the
-// overlay machinery itself adds no cost.
+// A spec that is non-trivial only through a redundant size floor must
+// still reproduce the flag run exactly: a floor below the driver's own
+// shared size adds no cost.
 TEST(TopologySpec, RedundantOverlayReproducesFlagRun) {
   alg::WorkloadCache workloads;
   run::Point point;

@@ -7,8 +7,7 @@ namespace hmm {
 namespace {
 
 TEST(Topology, EvenSplit) {
-  const Topology t = Topology::even(/*width=*/32, /*num_dmms=*/4,
-                                    /*total_threads=*/256);
+  const Topology t(/*width=*/32, {64, 64, 64, 64});
   EXPECT_EQ(t.width(), 32);
   EXPECT_EQ(t.num_dmms(), 4);
   EXPECT_EQ(t.total_threads(), 256);
@@ -27,22 +26,14 @@ TEST(Topology, RaggedThreadCountsAndPartialWarps) {
   EXPECT_EQ(t.warps_on(1), 1);  // partial warp of 3
   EXPECT_EQ(t.warps_on(2), 3);  // 4 + 4 + 1
   EXPECT_EQ(t.total_warps(), 6);
-  EXPECT_EQ(t.dmm_of_warp(0), 0);
-  EXPECT_EQ(t.dmm_of_warp(1), 0);
-  EXPECT_EQ(t.dmm_of_warp(2), 1);
-  EXPECT_EQ(t.dmm_of_warp(3), 2);
-  EXPECT_EQ(t.dmm_of_warp(5), 2);
 }
 
 TEST(Topology, RejectsNonsense) {
   EXPECT_THROW(Topology(0, {1}), PreconditionError);
   EXPECT_THROW(Topology(4, {}), PreconditionError);
   EXPECT_THROW(Topology(4, {4, 0}), PreconditionError);
-  EXPECT_THROW(Topology::even(4, 3, 8), PreconditionError);  // 3 ∤ 8
-  EXPECT_THROW(Topology::even(4, 0, 8), PreconditionError);
   const Topology t(4, {4});
   EXPECT_THROW(t.threads_on(1), PreconditionError);
-  EXPECT_THROW(t.dmm_of_warp(1), PreconditionError);
 }
 
 }  // namespace

@@ -507,10 +507,9 @@ void print_table(const Table& table) {
 int run_checked(const run::Point& o, const Cli& cli) {
   const analysis::CheckerConfig& cfg = cli.check_cfg;
   const bool hmm_model = o.model == "hmm";
-  // A non-trivial --machine topology reshapes the DMMs through the same
-  // overlay run_point registers; the per-DMM thread count then only
-  // sizes the machine's BASE shape (the overlay overrides per-DMM thread
-  // counts and takes the max of size floors).
+  // The DMMs come from the same overlay run_point installs; the per-DMM
+  // thread count (the largest DMM's) only sizes the shared memory, which
+  // the overlay max-combines with each DMM's floor.
   const run::HmmShape shape(o);
   const std::int64_t pd = shape.threads_per_dmm();
   if (o.algorithm != "sum" && o.algorithm != "sort") {
