@@ -6,8 +6,8 @@
 //
 // The server runs in-process on a unix socket with a real Client on the
 // other end, so every number includes the full production path: NDJSON
-// parse, admission, queueing, the worker pool with its warmed frame
-// arenas, frame serialisation and socket I/O.  Four measurements:
+// parse, admission, queueing, SweepRunner grids on warm frame arenas,
+// frame serialisation and socket I/O.  Four measurements:
 //   1. sequential requests/sec — single-point run requests issued
 //      request/response over one connection (the latency view);
 //   2. pipelined requests/sec — the same requests all written first,

@@ -181,7 +181,7 @@ class Machine {
   /// each machine's own (nullptr deregisters).  This is how a long-lived
   /// worker keeps its arena and pattern cache warm under the span
   /// drivers (alg::sum_hmm etc.) that build Machines internally, out of
-  /// the worker's reach: hmmsimd's pool registers one per worker thread.
+  /// the worker's reach: hmmsimd registers one for each grid point.
   /// Every run resets the arena and keeps the cache, so `scratch` must
   /// outlive every run on this thread and never be shared across threads.
   static void set_thread_scratch(RunScratch* scratch);

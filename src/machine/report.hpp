@@ -103,8 +103,8 @@ struct MetricsSnapshot {
 /// Diagnostics of the round-pattern cache and the verified fast-forward
 /// replay path (docs/PERF.md, "Analytic fast-forward").  These counters
 /// describe HOW a result was computed, not WHAT it is: cache hit rates
-/// depend on cache warmth (an hmmsimd worker reuses one cache across
-/// requests, Machine::set_thread_scratch) and replayed_rounds depends
+/// depend on cache warmth (hmmsimd reuses its caches across requests,
+/// Machine::set_thread_scratch) and replayed_rounds depends
 /// on whether the shortcut was enabled — so FastForwardStats is
 /// deliberately EXCLUDED from RunReport::operator==, which compares
 /// simulation results only.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -51,7 +52,13 @@ void SweepRunner::for_each(
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (std::int64_t t = 0; t < workers; ++t) pool.emplace_back(worker);
+  try {
+    for (std::int64_t t = 0; t < workers; ++t) pool.emplace_back(worker);
+  } catch (const std::system_error&) {
+    // Out of threads: the workers that started, or this thread if none
+    // did, take every index.
+    if (pool.empty()) worker();
+  }
   for (std::thread& t : pool) t.join();
 
   if (first_error) std::rethrow_exception(first_error);

@@ -36,7 +36,8 @@ class SweepRunner {
   /// Invoke fn(i) once for every i in [0, count), distributed over the
   /// pool.  Blocks until all indices completed; rethrows the first
   /// worker exception (remaining workers drain without starting new
-  /// indices).
+  /// indices).  When threads cannot start, the ones that did (or the
+  /// calling thread) run every index.
   void for_each(std::int64_t count,
                 const std::function<void(std::int64_t)>& fn) const;
 

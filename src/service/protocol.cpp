@@ -267,11 +267,6 @@ json::Value frame_json(const Frame& frame) {
     o["stats"] = stats_json(f->stats);
     return make_frame("stats", std::move(o));
   }
-  if (const auto* f = std::get_if<HeartbeatFrame>(&frame)) {
-    o["seq"] = json::Value::make_int(f->seq);
-    o["stats"] = stats_json(f->stats);
-    return make_frame("heartbeat", std::move(o));
-  }
   if (const auto* f = std::get_if<PongFrame>(&frame)) {
     o["req"] = json::Value::make_string(f->req);
     return make_frame("pong", std::move(o));
@@ -353,12 +348,6 @@ Frame frame_from_json(const json::Value& v) {
   if (kind == "stats") {
     StatsFrame f;
     f.req = v.get("req").as_string();
-    f.stats = stats_from_json(v.get("stats"));
-    return f;
-  }
-  if (kind == "heartbeat") {
-    HeartbeatFrame f;
-    f.seq = v.get("seq").as_int64();
     f.stats = stats_from_json(v.get("stats"));
     return f;
   }

@@ -8,7 +8,7 @@
 //
 //   requests:  run | stats | version | ping | drain
 //   frames:    hello | accepted | result | metrics | telemetry | drop |
-//              done | stats | heartbeat | pong | version | error | bye
+//              done | stats | pong | version | error | bye
 //
 // Everything is built on src/core/json: requests and frames are
 // json::Value objects serialised with json::to_string, and every frame
@@ -44,6 +44,11 @@ namespace hmm::service {
 /// an inline machine, is a few KB.
 inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
+/// Largest per-grid-point telemetry budget the daemon honours: a run
+/// request's `telemetry` is clamped to it, and events past the budget
+/// are counted in drop frames.
+inline constexpr std::int64_t kMaxTelemetryBudget = std::int64_t{1} << 16;
+
 /// Execute a run or sweep: the hmmsim axes, each a value list; more than
 /// one value on any axis makes it a sweep over the cartesian grid.  The
 /// defaults are run::Point's, like GridSpec's.
@@ -61,9 +66,9 @@ struct RunRequest {
   bool fast_forward = run::Point{}.fast_forward;
   bool metrics = false;  ///< stream a metrics frame per grid point
   /// Per-grid-point trace-event budget for live telemetry frames; 0
-  /// disables the trace channel entirely.  The daemon clamps this to its
-  /// --telemetry-budget cap and counts everything past the budget in
-  /// drop frames (backpressure, never unbounded buffering).
+  /// disables the trace channel entirely.  The daemon clamps this to
+  /// kMaxTelemetryBudget and counts everything past the budget in drop
+  /// frames (backpressure, never unbounded buffering).
   std::int64_t telemetry = 0;
   /// Declarative machine topology: the NORMALIZED document text of a
   /// TopologySpec (json::to_string form), carried on the wire as an
@@ -197,14 +202,6 @@ struct StatsFrame {
   friend bool operator==(const StatsFrame&, const StatsFrame&) = default;
 };
 
-/// Periodic liveness + load signal (server --heartbeat-ms).
-struct HeartbeatFrame {
-  std::int64_t seq = 0;
-  ServiceStatsSnapshot stats;
-  friend bool operator==(const HeartbeatFrame&,
-                         const HeartbeatFrame&) = default;
-};
-
 struct PongFrame {
   std::string req;
   friend bool operator==(const PongFrame&, const PongFrame&) = default;
@@ -235,9 +232,8 @@ struct ByeFrame {
 
 using Frame =
     std::variant<HelloFrame, AcceptedFrame, ResultFrame, MetricsFrame,
-                 TelemetryFrame, DropFrame, DoneFrame, StatsFrame,
-                 HeartbeatFrame, PongFrame, VersionFrame, ErrorFrame,
-                 ByeFrame>;
+                 TelemetryFrame, DropFrame, DoneFrame, StatsFrame, PongFrame,
+                 VersionFrame, ErrorFrame, ByeFrame>;
 
 json::Value frame_json(const Frame& frame);
 /// Throws PreconditionError on unknown `frame` tags or missing fields.

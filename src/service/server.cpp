@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "machine/machine.hpp"
 #include "machine/topology_spec.hpp"
 #include "report/sweep_csv.hpp"
+#include "run/sweep.hpp"
 #include "telemetry/fanout.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson.hpp"
@@ -66,72 +66,41 @@ std::shared_ptr<const topo::TopologySpec> resolve_machine(
   return nullptr;
 }
 
+// Lends a RunScratch from the server's idle list to the calling thread
+// (Machine::set_thread_scratch) for one grid point, and gives it back
+// even when the point throws.  A new one is made only when every
+// scratch is lent out; the executor runs at most `jobs` points at once,
+// so at most `jobs` ever exist.
+class ScratchLease {
+ public:
+  using IdleList = std::vector<std::unique_ptr<RunScratch>>;
+
+  ScratchLease(std::mutex& mu, IdleList& idle) : mu_(mu), idle_(idle) {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      if (!idle_.empty()) {
+        scratch_ = std::move(idle_.back());
+        idle_.pop_back();
+      }
+    }
+    if (scratch_ == nullptr) scratch_ = std::make_unique<RunScratch>();
+    Machine::set_thread_scratch(scratch_.get());
+  }
+  ~ScratchLease() {
+    Machine::set_thread_scratch(nullptr);
+    const std::lock_guard<std::mutex> lk(mu_);
+    idle_.push_back(std::move(scratch_));  // capacity reserved: no throw
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+ private:
+  std::mutex& mu_;
+  IdleList& idle_;
+  std::unique_ptr<RunScratch> scratch_;
+};
+
 }  // namespace
-
-// ---- WorkerPool ----------------------------------------------------------
-
-WorkerPool::WorkerPool(int jobs) : jobs_(jobs) {
-  HMM_REQUIRE(jobs >= 1, "worker pool: jobs must be >= 1");
-  threads_.reserve(static_cast<std::size_t>(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    threads_.emplace_back([this] { worker(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::for_each(std::int64_t count,
-                          const std::function<void(std::int64_t)>& fn) {
-  if (count <= 0) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  fn_ = &fn;
-  count_ = count;
-  workers_done_ = 0;
-  next_.store(0, std::memory_order_relaxed);
-  ++generation_;
-  work_cv_.notify_all();
-  done_cv_.wait(lk, [this] { return workers_done_ == jobs_; });
-  fn_ = nullptr;
-}
-
-void WorkerPool::worker() {
-  // The whole point of a persistent pool: this arena and pattern cache
-  // live for the daemon's lifetime and stay warm across requests.  Every
-  // Machine an algorithm driver builds on this thread adopts them
-  // (Machine::set_thread_scratch) — warmth never changes results.
-  RunScratch scratch;
-  Machine::set_thread_scratch(&scratch);
-  std::int64_t seen_generation = 0;
-  while (true) {
-    const std::function<void(std::int64_t)>* fn = nullptr;
-    std::int64_t count = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || generation_ != seen_generation; });
-      if (stop_) break;
-      seen_generation = generation_;
-      fn = fn_;
-      count = count_;
-    }
-    while (true) {
-      const std::int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      (*fn)(i);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (++workers_done_ == jobs_) done_cv_.notify_all();
-    }
-  }
-  Machine::set_thread_scratch(nullptr);
-}
 
 // ---- Server --------------------------------------------------------------
 
@@ -145,8 +114,8 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   HMM_REQUIRE(config_.max_queue >= 1, "server: max_queue must be >= 1");
   HMM_REQUIRE(config_.client_budget >= 1,
               "server: client_budget must be >= 1");
-  HMM_REQUIRE(config_.max_telemetry_budget >= 0,
-              "server: max_telemetry_budget must be >= 0");
+  idle_scratch_.reserve(static_cast<std::size_t>(config_.jobs));
+  conns_.reserve(kMaxConnections);
 }
 
 Server::~Server() {
@@ -159,7 +128,6 @@ Server::~Server() {
     queue_cv_.notify_all();
     executor_.join();
   }
-  pool_.reset();
   shutdown_connections();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -176,7 +144,6 @@ void Server::start() {
   if (::pipe(wake_pipe_) != 0) {
     throw PreconditionError(std::string("pipe: ") + std::strerror(errno));
   }
-  pool_ = std::make_unique<WorkerPool>(config_.jobs);
   executor_ = std::thread([this] { executor_loop(); });
 }
 
@@ -191,24 +158,10 @@ void Server::request_drain() {
 
 void Server::serve() {
   HMM_REQUIRE(listen_fd_ >= 0, "server: start() before serve()");
-  using Clock = std::chrono::steady_clock;
-  const auto heartbeat =
-      std::chrono::milliseconds(std::max(config_.heartbeat_ms, 0));
-  auto next_heartbeat = Clock::now() + heartbeat;
-
   while (true) {
-    int timeout_ms = -1;
-    if (draining_.load(std::memory_order_relaxed)) {
-      timeout_ms = 50;  // poll for executor idleness
-    }
-    if (config_.heartbeat_ms > 0) {
-      const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-          next_heartbeat - Clock::now());
-      const int hb_ms = static_cast<int>(std::max<std::int64_t>(
-          0, static_cast<std::int64_t>(until.count())));
-      timeout_ms = timeout_ms < 0 ? hb_ms : std::min(timeout_ms, hb_ms);
-    }
-
+    // Sleep until a connection or a wake byte arrives; while draining,
+    // wake every 50 ms to check whether the executor went idle.
+    const int timeout_ms = draining_.load(std::memory_order_relaxed) ? 50 : -1;
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
     const int rc = ::poll(fds, 2, timeout_ms);
     if (rc < 0) {
@@ -219,10 +172,10 @@ void Server::serve() {
       char sink[16];
       [[maybe_unused]] const ssize_t n = ::read(wake_pipe_[0], sink, sizeof(sink));
     }
-    if ((fds[0].revents & POLLIN) != 0) accept_one();
 
-    // Reap connections whose reader finished (EOF or write failure):
-    // join outside the lock, then let the shared_ptr decide when the fd
+    // Reap connections whose reader finished (EOF or write failure),
+    // before accepting, so they leave room under kMaxConnections: join
+    // outside the lock, then let the shared_ptr decide when the fd
     // actually closes (the executor may still hold a reference).
     std::vector<ConnectionPtr> reaped;
     {
@@ -240,11 +193,7 @@ void Server::serve() {
       if (conn->reader.joinable()) conn->reader.join();
       stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
     }
-
-    if (config_.heartbeat_ms > 0 && Clock::now() >= next_heartbeat) {
-      broadcast_heartbeat();
-      next_heartbeat += heartbeat;
-    }
+    if ((fds[0].revents & POLLIN) != 0) accept_one();
 
     if (draining_.load(std::memory_order_relaxed)) {
       bool queue_empty;
@@ -268,7 +217,6 @@ void Server::serve() {
   }
   queue_cv_.notify_all();
   executor_.join();
-  pool_.reset();
   shutdown_connections();
 }
 
@@ -293,19 +241,39 @@ void Server::accept_one() {
   if (fd < 0) return;  // transient (ECONNABORTED etc.); keep serving
   auto conn = std::make_shared<Connection>();
   conn->fd = fd;
-  conn->id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
-  stats_.connections_total.fetch_add(1, std::memory_order_relaxed);
-  stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
+  // A refused connection gets one error frame; returning drops the last
+  // reference, which closes the fd.
+  const auto refuse = [&](const std::string& why) {
+    stats_.connections_refused.fetch_add(1, std::memory_order_relaxed);
+    send_frame(conn, ErrorFrame{"", why});
+  };
+  std::size_t open = 0;
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.push_back(conn);
+    open = conns_.size();  // only this thread adds or removes
   }
+  if (open >= kMaxConnections) {
+    refuse("too many connections: the daemon serves at most " +
+           std::to_string(kMaxConnections) + " at once");
+    return;
+  }
+  conn->id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
   HelloFrame hello;
   hello.version = kVersionString;
   hello.features = feature_list();
   hello.client = conn->id;
   send_frame(conn, hello);
-  conn->reader = std::thread([this, conn] { reader_loop(conn); });
+  try {
+    conn->reader = std::thread([this, conn] { reader_loop(conn); });
+  } catch (const std::exception& e) {
+    refuse(std::string("cannot start a reader for this connection: ") +
+           e.what());
+    return;
+  }
+  stats_.connections_total.fetch_add(1, std::memory_order_relaxed);
+  stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(conns_mu_);
+  conns_.push_back(conn);  // capacity reserved: no throw
 }
 
 void Server::reader_loop(ConnectionPtr conn) {
@@ -446,8 +414,8 @@ void Server::executor_loop() {
 void Server::execute_run(QueuedRun job) {
   const std::string rid = job.request.id;
   const bool want_metrics = job.request.metrics;
-  const std::int64_t budget =
-      std::min(job.request.telemetry, config_.max_telemetry_budget);
+  const std::int64_t budget = std::min(job.request.telemetry,
+                                       kMaxTelemetryBudget);
   std::atomic<std::int64_t> rows{0};
   std::atomic<std::int64_t> skipped{0};
   std::atomic<std::int64_t> telemetry_frames{0};
@@ -463,6 +431,7 @@ void Server::execute_run(QueuedRun job) {
     }
     const run::Point& point = job.grid[static_cast<std::size_t>(i)];
     try {
+      const ScratchLease lease(scratch_mu_, idle_scratch_);
       telemetry::MetricsRegistry registry;
       telemetry::ObserverFanout fanout;
       std::optional<telemetry::NdjsonStreamSink> sink;
@@ -529,7 +498,8 @@ void Server::execute_run(QueuedRun job) {
                                            ": " + e.what()});
     }
   };
-  pool_->for_each(static_cast<std::int64_t>(job.grid.size()), run_one);
+  run::SweepRunner(config_.jobs)
+      .for_each(static_cast<std::int64_t>(job.grid.size()), run_one);
 
   DoneFrame done;
   done.req = rid;
@@ -546,23 +516,6 @@ void Server::execute_run(QueuedRun job) {
     stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
   }
   send_frame(job.conn, done);
-}
-
-void Server::broadcast_heartbeat() {
-  stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-  HeartbeatFrame beat;
-  beat.seq = heartbeat_seq_.fetch_add(1, std::memory_order_relaxed);
-  beat.stats = stats_snapshot();
-  std::vector<ConnectionPtr> live;
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    live = conns_;
-  }
-  for (const ConnectionPtr& conn : live) {
-    if (!conn->dead.load(std::memory_order_relaxed)) {
-      send_frame(conn, beat);
-    }
-  }
 }
 
 ServiceStatsSnapshot Server::stats_snapshot() {

@@ -1,23 +1,27 @@
 // The hmmsimd server — a persistent simulation service over NDJSON.
 //
-// One Server owns four kinds of threads and one WorkloadCache:
+// One Server owns three kinds of threads, one WorkloadCache and an idle
+// list of RunScratch:
 //
 //  * the SERVE loop (the caller's thread): poll()s the listening socket,
-//    accepts connections, reaps dead ones, broadcasts heartbeat frames
-//    and supervises graceful drain;
+//    accepts connections (at most kMaxConnections at once), reaps dead
+//    ones and supervises graceful drain;
 //  * one READER thread per connection: splits the byte stream into
 //    NDJSON lines, answers ping/version/stats inline and enqueues run
 //    requests (admission control: per-client budget, global queue cap,
 //    drain refusals);
-//  * one EXECUTOR thread: pops run requests FIFO and streams each one's
-//    grid through the worker pool — results, metrics, telemetry and drop
-//    frames interleave on the wire as points finish, each tagged with
-//    (req, grid_index);
-//  * a persistent WORKER pool (config.jobs threads): each worker
-//    registers a RunScratch (FrameArena + PatternCache) with
-//    Machine::set_thread_scratch at startup, so arenas and pattern
-//    caches stay WARM across requests — the latency edge a daemon has
-//    over forking `hmmsim` per sweep, measured by bench_service.
+//  * one EXECUTOR thread: pops run requests FIFO and hands each one's
+//    grid to run::SweepRunner(config.jobs) — results, metrics, telemetry
+//    and drop frames interleave on the wire as points finish, each tagged
+//    with (req, grid_index).  With jobs == 1, or a one-point grid, the
+//    executor runs the points itself.
+//
+// Warmth: each grid point borrows a RunScratch (FrameArena +
+// PatternCache) from the server's idle list and registers it with
+// Machine::set_thread_scratch for that point only, so arenas and pattern
+// caches stay WARM across requests — the latency edge a daemon has over
+// forking `hmmsim` per sweep, measured by bench_service.  At most `jobs`
+// points run at once, so at most `jobs` RunScratch ever exist.
 //
 // Determinism: every grid point runs run::run_point — the same dispatch
 // the CLI uses — and result frames carry the finished sweep-CSV row, so
@@ -28,14 +32,14 @@
 // executor then skips that client's remaining grid points (counted in
 // ServiceStats::points_skipped and the done frame it can no longer
 // deliver) instead of simulating into a closed socket.  A mid-stream
-// disconnect therefore never leaks a worker.
+// disconnect therefore never ties up the executor.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,57 +47,27 @@
 #include <vector>
 
 #include "alg/workload.hpp"
+#include "machine/machine.hpp"
 #include "service/address.hpp"
 #include "service/protocol.hpp"
 #include "service/stats.hpp"
 
 namespace hmm::service {
 
+/// Most connections the daemon serves at once, each with its own reader
+/// thread.  One past the cap, like one whose reader thread cannot start,
+/// gets an error frame and is closed (ServiceStats::connections_refused).
+inline constexpr std::size_t kMaxConnections = 128;
+
 struct ServerConfig {
   Address listen;
-  int jobs = 1;           ///< worker pool size (grid points in parallel)
-  int heartbeat_ms = 0;   ///< 0 disables heartbeat frames
+  int jobs = 1;           ///< grid points of one request run at once
   int max_queue = 64;     ///< global cap on queued run requests
   int client_budget = 8;  ///< per-client cap on queued run requests
-  /// Hard cap a run request's `telemetry` budget is clamped to.
-  std::int64_t max_telemetry_budget = 1 << 16;
   /// Directory of machine-topology presets (`<name>.json`) that clients
   /// may select by `machine_preset` name.  Empty = presets disabled;
   /// inline `machine` objects are always accepted (docs/TOPOLOGY.md).
   std::string machines_dir;
-};
-
-/// Persistent worker pool with warmed per-thread arenas/pattern caches.
-/// One dispatcher at a time (the server's executor thread) hands it a
-/// (count, fn) batch; workers claim indices through an atomic cursor.
-class WorkerPool {
- public:
-  explicit WorkerPool(int jobs);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int jobs() const { return jobs_; }
-
-  /// Run fn(0..count-1), each index exactly once, across the pool;
-  /// returns when all indices finished.  `fn` must not throw — callers
-  /// convert per-index failures into error frames themselves.
-  void for_each(std::int64_t count, const std::function<void(std::int64_t)>& fn);
-
- private:
-  void worker();
-
-  const int jobs_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::int64_t)>* fn_ = nullptr;  // guarded by mu_
-  std::int64_t count_ = 0;                                 // guarded by mu_
-  std::int64_t generation_ = 0;                            // guarded by mu_
-  std::int64_t workers_done_ = 0;                          // guarded by mu_
-  bool stop_ = false;                                      // guarded by mu_
-  std::atomic<std::int64_t> next_{0};
 };
 
 class Server {
@@ -103,9 +77,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen and start the executor and worker threads.  After
-  /// start() returns, address() is fully resolved (tcp:0 has its real
-  /// port).  Throws PreconditionError on bind failure.
+  /// Bind + listen and start the executor thread.  After start()
+  /// returns, address() is fully resolved (tcp:0 has its real port).
+  /// Throws PreconditionError on bind failure.
   void start();
 
   /// Accept and serve until drain completes.  Blocks; returns once every
@@ -153,7 +127,6 @@ class Server {
   void enqueue_run(const ConnectionPtr& conn, RunRequest request);
   void executor_loop();
   void execute_run(QueuedRun job);
-  void broadcast_heartbeat();
   void shutdown_connections();
 
   /// Serialize + write one frame; returns false (and marks the
@@ -165,13 +138,15 @@ class Server {
   ServerConfig config_;
   ServiceStats stats_;
   alg::WorkloadCache workloads_;
-  std::unique_ptr<WorkerPool> pool_;
+
+  std::mutex scratch_mu_;
+  /// RunScratch no grid point holds (guarded by scratch_mu_).
+  std::vector<std::unique_ptr<RunScratch>> idle_scratch_;
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: request_drain -> serve loop
   std::atomic<bool> draining_{false};
   std::atomic<std::int64_t> next_client_id_{1};
-  std::atomic<std::int64_t> heartbeat_seq_{0};
 
   std::mutex conns_mu_;
   std::vector<ConnectionPtr> conns_;  // guarded by conns_mu_

@@ -16,10 +16,10 @@ json::Value stats_json(const ServiceStatsSnapshot& s) {
   o["in_flight"] = json::Value::make_int(s.in_flight);
   o["connections_total"] = json::Value::make_int(s.connections_total);
   o["connections_active"] = json::Value::make_int(s.connections_active);
+  o["connections_refused"] = json::Value::make_int(s.connections_refused);
   o["frames_sent"] = json::Value::make_int(s.frames_sent);
   o["telemetry_frames"] = json::Value::make_int(s.telemetry_frames);
   o["telemetry_dropped"] = json::Value::make_int(s.telemetry_dropped);
-  o["heartbeats"] = json::Value::make_int(s.heartbeats);
   o["points_run"] = json::Value::make_int(s.points_run);
   o["points_skipped"] = json::Value::make_int(s.points_skipped);
   o["draining"] = json::Value::make_bool(s.draining);
@@ -47,10 +47,10 @@ ServiceStatsSnapshot stats_from_json(const json::Value& v) {
   s.in_flight = v.get("in_flight").as_int64();
   s.connections_total = v.get("connections_total").as_int64();
   s.connections_active = v.get("connections_active").as_int64();
+  s.connections_refused = v.get("connections_refused").as_int64();
   s.frames_sent = v.get("frames_sent").as_int64();
   s.telemetry_frames = v.get("telemetry_frames").as_int64();
   s.telemetry_dropped = v.get("telemetry_dropped").as_int64();
-  s.heartbeats = v.get("heartbeats").as_int64();
   s.points_run = v.get("points_run").as_int64();
   s.points_skipped = v.get("points_skipped").as_int64();
   s.draining = v.get("draining").as_bool();
@@ -75,10 +75,10 @@ ServiceStatsSnapshot ServiceStats::snapshot() const {
   s.in_flight = in_flight.load(std::memory_order_relaxed);
   s.connections_total = connections_total.load(std::memory_order_relaxed);
   s.connections_active = connections_active.load(std::memory_order_relaxed);
+  s.connections_refused = connections_refused.load(std::memory_order_relaxed);
   s.frames_sent = frames_sent.load(std::memory_order_relaxed);
   s.telemetry_frames = telemetry_frames.load(std::memory_order_relaxed);
   s.telemetry_dropped = telemetry_dropped.load(std::memory_order_relaxed);
-  s.heartbeats = heartbeats.load(std::memory_order_relaxed);
   s.points_run = points_run.load(std::memory_order_relaxed);
   s.points_skipped = points_skipped.load(std::memory_order_relaxed);
   s.draining = draining.load(std::memory_order_relaxed);

@@ -1,15 +1,12 @@
 // ServiceStats — the hmmsimd daemon's observability registry.
 //
 // Every lifecycle edge of the service increments a counter here:
-// connections opened and closed, requests accepted / completed /
+// connections opened, refused and closed, requests accepted / completed /
 // rejected / failed, queue depth and in-flight work, frames written,
-// telemetry backpressure drops, heartbeats.  The registry is exposed two
-// ways (docs/OBSERVABILITY.md "The simulation service"):
-//
-//  * a `stats` request returns a stats frame with the full snapshot,
-//    including a per-active-client breakdown;
-//  * periodic heartbeat frames (server --heartbeat-ms) carry the same
-//    snapshot, so a dashboard tailing the stream needs no polling.
+// telemetry backpressure drops.  A `stats` request returns a stats frame
+// with the full snapshot, including a per-active-client breakdown
+// (docs/OBSERVABILITY.md "The simulation service"), and the daemon
+// prints a summary of it when it drains.
 //
 // Counters are plain relaxed atomics: they are monotonic event counts
 // (or instantaneous gauges) with no cross-counter invariant to protect,
@@ -44,12 +41,12 @@ struct ServiceStatsSnapshot {
   std::int64_t requests_failed = 0;     ///< runs that raised errors
   std::int64_t queue_depth = 0;         ///< gauge: run requests waiting
   std::int64_t in_flight = 0;           ///< gauge: run requests executing
-  std::int64_t connections_total = 0;
+  std::int64_t connections_total = 0;   ///< served (refused not counted)
   std::int64_t connections_active = 0;  ///< gauge
+  std::int64_t connections_refused = 0;  ///< error frame, then closed
   std::int64_t frames_sent = 0;         ///< every frame kind, all clients
   std::int64_t telemetry_frames = 0;    ///< telemetry frames among them
   std::int64_t telemetry_dropped = 0;   ///< events past per-point budgets
-  std::int64_t heartbeats = 0;
   std::int64_t points_run = 0;      ///< grid points simulated
   std::int64_t points_skipped = 0;  ///< points not run (client vanished)
   bool draining = false;
@@ -59,8 +56,7 @@ struct ServiceStatsSnapshot {
                          const ServiceStatsSnapshot&) = default;
 };
 
-/// JSON round trip of the snapshot (the `stats` member of stats and
-/// heartbeat frames).
+/// JSON round trip of the snapshot (the `stats` member of stats frames).
 json::Value stats_json(const ServiceStatsSnapshot& s);
 ServiceStatsSnapshot stats_from_json(const json::Value& v);
 
@@ -76,10 +72,10 @@ class ServiceStats {
   std::atomic<std::int64_t> in_flight{0};
   std::atomic<std::int64_t> connections_total{0};
   std::atomic<std::int64_t> connections_active{0};
+  std::atomic<std::int64_t> connections_refused{0};
   std::atomic<std::int64_t> frames_sent{0};
   std::atomic<std::int64_t> telemetry_frames{0};
   std::atomic<std::int64_t> telemetry_dropped{0};
-  std::atomic<std::int64_t> heartbeats{0};
   std::atomic<std::int64_t> points_run{0};
   std::atomic<std::int64_t> points_skipped{0};
   std::atomic<bool> draining{false};

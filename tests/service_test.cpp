@@ -90,10 +90,10 @@ service::ServiceStatsSnapshot sample_stats() {
   s.in_flight = 1;
   s.connections_total = 3;
   s.connections_active = 2;
+  s.connections_refused = 11;
   s.frames_sent = 99;
   s.telemetry_frames = 40;
   s.telemetry_dropped = 7;
-  s.heartbeats = 11;
   s.points_run = 60;
   s.points_skipped = 2;
   s.draining = true;
@@ -125,7 +125,6 @@ TEST(ServiceProtocol, EveryFrameTypeRoundTrips) {
   service::DropFrame drop{"r1", 5, 549};
   service::DoneFrame done{"r1", 12, 40, 549, 0};
   service::StatsFrame stats{"s1", sample_stats()};
-  service::HeartbeatFrame heartbeat{9, sample_stats()};
   service::PongFrame pong{"p1"};
   service::VersionFrame version{"v1", kVersionString, {"metrics"}};
   service::ErrorFrame error{"r2", "queue full"};
@@ -142,8 +141,6 @@ TEST(ServiceProtocol, EveryFrameTypeRoundTrips) {
   EXPECT_EQ(std::get<service::DropFrame>(frame_round_trip(drop)), drop);
   EXPECT_EQ(std::get<service::DoneFrame>(frame_round_trip(done)), done);
   EXPECT_EQ(std::get<service::StatsFrame>(frame_round_trip(stats)), stats);
-  EXPECT_EQ(std::get<service::HeartbeatFrame>(frame_round_trip(heartbeat)),
-            heartbeat);
   EXPECT_EQ(std::get<service::PongFrame>(frame_round_trip(pong)), pong);
   EXPECT_EQ(std::get<service::VersionFrame>(frame_round_trip(version)),
             version);
@@ -557,6 +554,89 @@ TEST(Service, AdmissionAdoptsTheMachineTopology) {
   serve.join();
 }
 
+// Admission on a server with one job, one queue slot and a budget of one
+// queued run per client: while a sweep occupies the executor, client A's
+// next run takes the slot, A's third run is over its budget, and client
+// B's run finds the queue full.
+TEST(Service, AdmissionRefusesPastTheClientBudgetAndTheQueueCap) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_admit_" + std::to_string(::getpid()) + ".sock");
+  config.jobs = 1;
+  config.max_queue = 1;
+  config.client_budget = 1;
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  const auto run = [](const std::string& id, std::vector<std::int64_t> n) {
+    service::RunRequest r;
+    r.id = id;
+    r.algorithm = "sort";
+    r.n = std::move(n);
+    r.p = {256};
+    return r;
+  };
+  service::Client a;
+  a.connect(config.listen);
+  // Point 0 is small; point 1 keeps the executor busy for hundreds of ms
+  // after point 0's result frame.
+  a.send(run("busy", {1024, 32768}));
+  for (;;) {
+    auto frame = a.read_frame();
+    ASSERT_TRUE(frame.has_value());
+    if (std::holds_alternative<service::ResultFrame>(*frame)) break;
+  }
+
+  // A's reader handles its lines in order: "second" takes the one queue
+  // slot before "third" is considered.
+  a.send(run("second", {1024}));
+  a.send(run("third", {1024}));
+  bool second_accepted = false;
+  std::string third_error;
+  while (!second_accepted || third_error.empty()) {
+    auto frame = a.read_frame();
+    ASSERT_TRUE(frame.has_value());
+    if (auto* accepted = std::get_if<service::AcceptedFrame>(&*frame)) {
+      EXPECT_EQ(accepted->req, "second");
+      second_accepted = true;
+    } else if (auto* error = std::get_if<service::ErrorFrame>(&*frame)) {
+      EXPECT_EQ(error->req, "third");
+      third_error = error->message;
+    }
+  }
+  EXPECT_NE(third_error.find("client budget exceeded"), std::string::npos)
+      << third_error;
+
+  service::Client b;
+  b.connect(config.listen);
+  b.send(run("other", {1024}));
+  const auto refused = b.read_frame();
+  ASSERT_TRUE(refused.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::ErrorFrame>(*refused));
+  EXPECT_EQ(std::get<service::ErrorFrame>(*refused).req, "other");
+  EXPECT_NE(std::get<service::ErrorFrame>(*refused).message.find("queue full"),
+            std::string::npos);
+
+  // Both accepted runs finish; then drain.
+  std::vector<std::string> done;
+  while (done.size() < 2) {
+    auto frame = a.read_frame();
+    ASSERT_TRUE(frame.has_value());
+    if (auto* d = std::get_if<service::DoneFrame>(&*frame)) {
+      done.push_back(d->req);
+    }
+  }
+  EXPECT_EQ(done, (std::vector<std::string>{"busy", "second"}));
+  a.send(service::DrainRequest{"d"});
+  serve.join();
+
+  const service::ServiceStatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.requests_accepted, 2);
+  EXPECT_EQ(stats.requests_completed, 2);
+  EXPECT_EQ(stats.requests_rejected, 2);
+}
+
 /// A raw socket to the daemon, for request lines no Client would send.
 class RawConnection {
  public:
@@ -662,6 +742,42 @@ TEST(Service, OverLongLineIsRefusedAndItsConnectionClosed) {
   other.send(service::DrainRequest{"d"});
   serve.join();
   EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
+}
+
+// A connection flood: kMaxConnections clients are served, the next one
+// gets an error frame and then EOF, and the daemon serves on.
+TEST(Service, ConnectionPastTheCapIsRefusedAndOthersServeOn) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_flood_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  std::vector<service::Client> clients(service::kMaxConnections);
+  for (service::Client& client : clients) client.connect(config.listen);
+
+  RawConnection refused(config.listen);
+  const auto error = refused.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::ErrorFrame>(*error));
+  EXPECT_NE(std::get<service::ErrorFrame>(*error).message.find(
+                std::to_string(service::kMaxConnections)),
+            std::string::npos);
+  EXPECT_FALSE(refused.read_frame().has_value()) << "connection left open";
+
+  clients.front().send(service::PingRequest{"first"});
+  const auto pong = clients.front().read_frame();
+  ASSERT_TRUE(pong.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::PongFrame>(*pong));
+  EXPECT_EQ(std::get<service::PongFrame>(*pong).req, "first");
+
+  clients.back().send(service::DrainRequest{"d"});
+  serve.join();
+  const service::ServiceStatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.connections_refused, 1);
+  EXPECT_EQ(stats.connections_total,
+            static_cast<std::int64_t>(service::kMaxConnections));
 }
 
 }  // namespace

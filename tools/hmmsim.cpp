@@ -769,7 +769,7 @@ int client_control(const std::string& spec, const std::string& verb) {
       std::fprintf(stderr, "error: %s\n", error->message.c_str());
       return 1;
     }
-    // Heartbeats and interleaved frames of other requests: keep reading.
+    // Any other frame: keep reading until the answer arrives.
   }
 }
 
@@ -854,8 +854,7 @@ int client_run(const Cli& cli) {
       }
       break;
     }
-    // Hello was consumed by connect(); heartbeats and frames of other
-    // requests are ignored.
+    // Hello was consumed by connect(); any other frame is ignored.
   }
 
   if (grid_points == 1) {

@@ -1,19 +1,21 @@
 // hmmsimd — the simulation service daemon.
 //
-//   hmmsimd --listen=ADDR [--jobs=N] [--heartbeat-ms=N] [--max-queue=N]
-//           [--client-budget=N] [--telemetry-budget=N]
+//   hmmsimd --listen=ADDR [--jobs=N] [--max-queue=N] [--client-budget=N]
+//           [--machines=DIR]
 //
 // Accepts newline-delimited JSON requests (run/sweep, stats, version,
 // ping, drain) over a unix or TCP socket and streams back incremental
 // NDJSON frames: per-grid-point results, metrics snapshots and — opt-in,
-// budget-bounded — live telemetry events.  The worker pool keeps frame
-// arenas and pattern caches warm across requests, which is the latency
-// edge over forking `hmmsim` per sweep (measured by bench_service).
+// budget-bounded — live telemetry events.  Grid points reuse the
+// daemon's frame arenas and pattern caches, warm across requests, which
+// is the latency edge over forking `hmmsim` per sweep (measured by
+// bench_service).
 //
 // `hmmsim --connect=ADDR` is the matching client; the wire protocol is
 // documented in docs/OBSERVABILITY.md.  SIGINT/SIGTERM (or a client's
 // drain request) trigger a graceful drain: queued requests finish, every
 // client gets a bye frame, then the daemon exits 0.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -42,16 +44,12 @@ int usage() {
       "usage: hmmsimd --listen=ADDR [options]\n"
       "  --listen=ADDR        unix:PATH or tcp:[HOST:]PORT (tcp:0 picks a\n"
       "                       free port and prints it)\n"
-      "  --jobs=N             worker threads; grid points of one request\n"
-      "                       run N at a time (default 1)\n"
-      "  --heartbeat-ms=N     broadcast a heartbeat frame with the full\n"
-      "                       stats snapshot every N ms (default 0 = off)\n"
+      "  --jobs=N             grid points of one request run N at a time\n"
+      "                       (default 1)\n"
       "  --max-queue=N        global cap on queued run requests "
       "(default 64)\n"
       "  --client-budget=N    per-client cap on queued run requests\n"
       "                       (default 8)\n"
-      "  --telemetry-budget=N hard cap on a request's per-point telemetry\n"
-      "                       budget (default 65536)\n"
       "  --machines=DIR       serve machine-topology presets: a request's\n"
       "                       machine_preset NAME loads DIR/NAME.json\n"
       "                       (default: presets disabled)\n"
@@ -62,16 +60,20 @@ int usage() {
   return 2;
 }
 
-bool parse_int(const std::string& arg, const char* prefix, long& out,
-               long min_value) {
-  const std::size_t n = std::strlen(prefix);
+/// `--NAME=VALUE` with VALUE a decimal int >= min_value: sets `out`.
+/// Anything else — another option, trailing garbage, a value out of
+/// int's range (std::from_chars reports it instead of wrapping) — is
+/// false, which the caller maps to the usage exit code.
+bool parse_int(const std::string& arg, const char* prefix, int& out,
+               int min_value) {
   if (arg.rfind(prefix, 0) != 0) return false;
-  const std::string v = arg.substr(n);
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  out = std::strtol(v.c_str(), nullptr, 10);
-  return out >= min_value;
+  const char* first = arg.c_str() + std::strlen(prefix);
+  const char* last = arg.c_str() + arg.size();
+  int value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || end != last || value < min_value) return false;
+  out = value;
+  return true;
 }
 
 }  // namespace
@@ -81,7 +83,6 @@ int main(int argc, char** argv) {
   std::string listen_spec;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    long value = 0;
     if (a == "--version") {
       std::printf("hmmsimd %s\nfeatures:", kVersionString);
       for (std::size_t f = 0; f < kFeatureCount; ++f) {
@@ -91,16 +92,10 @@ int main(int argc, char** argv) {
       return 0;
     } else if (a.rfind("--listen=", 0) == 0) {
       listen_spec = a.substr(std::strlen("--listen="));
-    } else if (parse_int(a, "--jobs=", value, 1)) {
-      config.jobs = static_cast<int>(value);
-    } else if (parse_int(a, "--heartbeat-ms=", value, 0)) {
-      config.heartbeat_ms = static_cast<int>(value);
-    } else if (parse_int(a, "--max-queue=", value, 1)) {
-      config.max_queue = static_cast<int>(value);
-    } else if (parse_int(a, "--client-budget=", value, 1)) {
-      config.client_budget = static_cast<int>(value);
-    } else if (parse_int(a, "--telemetry-budget=", value, 0)) {
-      config.max_telemetry_budget = value;
+    } else if (parse_int(a, "--jobs=", config.jobs, 1) ||
+               parse_int(a, "--max-queue=", config.max_queue, 1) ||
+               parse_int(a, "--client-budget=", config.client_budget, 1)) {
+      continue;
     } else if (a.rfind("--machines=", 0) == 0) {
       config.machines_dir = a.substr(std::strlen("--machines="));
       if (config.machines_dir.empty()) return usage();
