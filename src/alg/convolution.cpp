@@ -332,8 +332,11 @@ std::optional<analysis::AccessPlan> build_conv_plan(const PlanPoint& point) {
   const Address g_a = 0, g_x = m, g_z = m + x_len;
   const Address s_a = 0, s_x = m, s_z = m + slice_x, s_scratch = s_z + slice;
 
+  // Every DMM runs one program on its own slice: only the global x and
+  // z addresses move with the DMM, by dmm_id() * slice (dmm_affine).
   auto plan = analysis::build_access_plan(
-      "conv/hmm", {point.w, d, pd}, [&](analysis::PlanCtx& c) {
+      "conv/hmm", {point.w, d, pd, /*dmm_affine=*/true},
+      [&](analysis::PlanCtx& c) {
         const std::int64_t self = c.local_thread_id();
         const Address i0 = c.dmm_id() * slice;
 

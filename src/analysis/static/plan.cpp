@@ -301,6 +301,39 @@ AccessPlan build_access_plan(std::string workload, const PlanShape& shape,
   std::vector<std::vector<LaneOp>> prev(static_cast<std::size_t>(shape.width));
   std::vector<Dispatch> scratch;
   std::vector<Address> deltas;
+  PlanCtx ctx;
+  // Record one warp's lane programs into `cur`; returns its lane count.
+  const auto record_warp = [&](std::int64_t dmm, std::int64_t warp) {
+    const std::int64_t first = warp * shape.width;
+    const std::int64_t count =
+        std::min(shape.width, shape.threads_per_dmm - first);
+    for (std::int64_t lane = 0; lane < count; ++lane) {
+      PlanBuilder::init(ctx, shape, dmm, first + lane, &plan.labels);
+      lane_fn(ctx);
+      PlanBuilder::swap_ops(ctx, cur[static_cast<std::size_t>(lane)]);
+    }
+    return count;
+  };
+  // Under PlanShape::dmm_affine, DMM 1 is the witness for DMMs 2..d-1:
+  // each warp's folded stream must price identically to the stored range
+  // the same warp of DMM 0 merged into (or opened), `dmm0_ranges`.
+  const bool affine = shape.dmm_affine && shape.num_dmms > 2;
+  std::vector<std::pair<std::size_t, std::size_t>> dmm0_ranges;
+  const auto dmm1_prices_as_dmm0 = [&] {
+    for (std::int64_t warp = 0; warp < warps; ++warp) {
+      scratch.clear();
+      fold_warp(cur, record_warp(1, warp), scratch);
+      const auto [first, n] = dmm0_ranges[static_cast<std::size_t>(warp)];
+      if (scratch.size() != n) return false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!prices_identically(plan.dispatches[first + i], scratch[i],
+                                shape.width)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
   // Dispatch range of the most recently stored warp — the merge target
   // for subsequent warps (see Dispatch::count).  `prev` holds the lane
   // programs of the warp processed last (pricing identity is transitive:
@@ -309,17 +342,13 @@ AccessPlan build_access_plan(std::string workload, const PlanShape& shape,
   std::size_t last_first = 0, last_count = 0;
   std::int64_t prev_count = 0;
   bool prev_lockstep = false;
-  PlanCtx ctx;
   for (std::int64_t dmm = 0; dmm < shape.num_dmms; ++dmm) {
+    if (affine && dmm == 1 && dmm1_prices_as_dmm0()) {
+      for (Dispatch& d : plan.dispatches) d.count *= shape.num_dmms;
+      return plan;
+    }
     for (std::int64_t warp = 0; warp < warps; ++warp) {
-      const std::int64_t first = warp * shape.width;
-      const std::int64_t count =
-          std::min(shape.width, shape.threads_per_dmm - first);
-      for (std::int64_t lane = 0; lane < count; ++lane) {
-        PlanBuilder::init(ctx, shape, dmm, first + lane, &plan.labels);
-        lane_fn(ctx);
-        PlanBuilder::swap_ops(ctx, cur[static_cast<std::size_t>(lane)]);
-      }
+      const std::int64_t count = record_warp(dmm, warp);
 
       bool lockstep;
       if (prev_lockstep && count == prev_count &&
@@ -355,6 +384,7 @@ AccessPlan build_access_plan(std::string workload, const PlanShape& shape,
       std::swap(prev, cur);
       prev_count = count;
       prev_lockstep = lockstep;
+      if (affine && dmm == 0) dmm0_ranges.emplace_back(last_first, last_count);
     }
   }
   return plan;

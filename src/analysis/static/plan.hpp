@@ -170,6 +170,16 @@ struct PlanShape {
   std::int64_t width = 32;
   std::int64_t num_dmms = 1;
   std::int64_t threads_per_dmm = 32;
+  /// The twin's promise that its DMMs run one program on DMM-indexed
+  /// data: DMM k's lane programs are DMM 0's operation for operation
+  /// (kinds, spaces, scopes, labels, lengths), with every address an
+  /// affine function of k.  build_access_plan then records DMMs 0 and 1
+  /// only.  If every warp of DMM 1 prices identically to the same warp
+  /// of DMM 0 (Dispatch::count's uniform width-multiple shift), the
+  /// shift of DMM k is k times DMM 1's, so every DMM prices as DMM 0
+  /// and the plan is DMM 0's with each multiplicity times num_dmms.
+  /// Otherwise it records every DMM, as without the promise.
+  bool dmm_affine = false;
 };
 
 /// A workload's symbolic kernel: invoked once per lane with the lane's

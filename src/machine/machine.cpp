@@ -403,6 +403,7 @@ class Engine {
   // the warp width, so after launch the hot path allocates nothing.
   WarpBatch batch_scratch_;
   std::vector<std::int32_t> participants_scratch_;  // lanes, this round
+  std::vector<Word> values_scratch_;  // what service() delivers, per request
   // Flat per-warp lane lists (one width-sized slice each, see
   // live_lanes()/flagged_lanes()): divergent or mostly-done warps visit
   // only their live lanes instead of scanning the full warp width.
@@ -534,6 +535,7 @@ void Engine::launch_threads() {
   queue_.reserve(static_cast<std::size_t>(topo.total_warps()));
   batch_scratch_.reserve(static_cast<std::size_t>(topo.width()));
   participants_scratch_.reserve(static_cast<std::size_t>(topo.width()));
+  values_scratch_.reserve(static_cast<std::size_t>(topo.width()));
   if (replay_enabled_) {
     trackers_.resize(static_cast<std::size_t>(topo.total_warps()));
   }
@@ -862,6 +864,8 @@ void Engine::dispatch_scan(WarpState& w) {
 }
 
 void Engine::memory_round(WarpState& w, MemorySpace space) {
+  Machine::Port& port = port_for(w.dmm, space);
+  const Address memory_size = port.memory.size();
   WarpBatch& batch = batch_scratch_;
   std::vector<std::int32_t>& participants = participants_scratch_;
   batch.clear();
@@ -875,6 +879,10 @@ void Engine::memory_round(WarpState& w, MemorySpace space) {
         op.space != space) {
       continue;
     }
+    // Checked here, before the pattern key and the pricing tables see
+    // the address: both index by it.
+    HMM_REQUIRE(op.address >= 0 && op.address < memory_size,
+                "service: address out of range");
     batch.push_back(Request{
         .lane = lane,
         .kind = op.kind == Op::Kind::kRead ? AccessKind::kRead
@@ -887,7 +895,6 @@ void Engine::memory_round(WarpState& w, MemorySpace space) {
   }
   HMM_ASSERT(!batch.empty(), "memory round without requests");
 
-  Machine::Port& port = port_for(w.dmm, space);
   // Price the batch: pattern-cache hit (exact, full-key compare) or the
   // stamped pass as the miss path.  Observers receive the profile either
   // way — cached profiles are byte-identical to freshly priced ones.
@@ -940,10 +947,12 @@ void Engine::memory_round(WarpState& w, MemorySpace space) {
         .profile = &profile,
     });
   }
-  const ServicedBatch served = port.memory.service(batch);
+  std::vector<Word>& values = values_scratch_;
+  values.resize(batch.size());
+  port.memory.service(batch, profile.distinct_addresses, values);
 
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    thread(w.first + participants[i]).ctx.delivered_ = served.values[i];
+    thread(w.first + participants[i]).ctx.delivered_ = values[i];
     flag_lane(w, participants[i]);
   }
   w.clock = slot.data_ready;

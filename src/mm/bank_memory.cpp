@@ -36,23 +36,49 @@ std::vector<Word> BankMemory::dump(Address base, std::int64_t count) const {
           cells_.begin() + static_cast<std::ptrdiff_t>(base + count)};
 }
 
-ServicedBatch BankMemory::service(std::span<const Request> batch) {
-  ServicedBatch out;
-  out.values.resize(batch.size());
+void BankMemory::service(std::span<const Request> batch,
+                         std::int64_t distinct_addresses,
+                         std::span<Word> values) {
+  const auto n = static_cast<std::int64_t>(batch.size());
+  HMM_REQUIRE(values.size() == batch.size(),
+              "service: one value slot per request");
+  HMM_REQUIRE(n == 0 ? distinct_addresses == 0
+                     : distinct_addresses >= 1 && distinct_addresses <= n,
+              "service: distinct-address count out of range");
+  for (const Request& r : batch) {
+    HMM_REQUIRE(r.address >= 0 && r.address < size(),
+                "service: address out of range");
+  }
 
+  if (distinct_addresses == n) {
+    // Duplicate-free: no two requests touch one cell, so serving them one
+    // by one is the parallel step.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Request& r = batch[i];
+      Word& cell = cells_[static_cast<std::size_t>(r.address)];
+      if (r.kind == AccessKind::kWrite) cell = r.value;
+      values[i] = cell;
+      ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(r.address))];
+    }
+    return;
+  }
+  service_arbitrated(batch, values);
+}
+
+void BankMemory::service_arbitrated(std::span<const Request> batch,
+                                    std::span<Word> values) {
   // All reads observe pre-batch memory (a warp access is one parallel
   // step); resolve them first.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
-    HMM_REQUIRE(r.address >= 0 && r.address < size(),
-                "service: address out of range");
     if (r.kind == AccessKind::kRead) {
-      out.values[i] = cells_[static_cast<std::size_t>(r.address)];
+      values[i] = cells_[static_cast<std::size_t>(r.address)];
     }
   }
 
   // Writes: highest lane wins per address (deterministic stand-in for the
-  // paper's "one of them is arbitrarily selected").
+  // paper's "one of them is arbitrarily selected").  Pairwise scans over
+  // at most w requests need no buffer.
   for (const Request& r : batch) {
     if (r.kind != AccessKind::kWrite) continue;
     bool superseded = false;
@@ -68,20 +94,21 @@ ServicedBatch BankMemory::service(std::span<const Request> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
     if (r.kind == AccessKind::kWrite) {
-      out.values[i] = cells_[static_cast<std::size_t>(r.address)];
+      values[i] = cells_[static_cast<std::size_t>(r.address)];
     }
   }
 
-  // Traffic: one count per distinct address, charged to its bank.
-  std::vector<Address> addrs;
-  addrs.reserve(batch.size());
-  for (const Request& r : batch) addrs.push_back(r.address);
-  std::sort(addrs.begin(), addrs.end());
-  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-  for (Address a : addrs) {
-    ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(a))];
+  // Traffic: one count per distinct address, charged at its first request.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    bool first = true;
+    for (std::size_t j = 0; j < i && first; ++j) {
+      first = batch[j].address != batch[i].address;
+    }
+    if (first) {
+      ++bank_traffic_[static_cast<std::size_t>(
+          geometry_.bank_of(batch[i].address))];
+    }
   }
-  return out;
 }
 
 void BankMemory::reset_traffic() {

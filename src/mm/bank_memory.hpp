@@ -11,8 +11,21 @@
 //  * writes to one address by several threads: one arbitrary thread wins.
 //    We deterministically pick the highest lane so simulations replay
 //    identically.
+//
+// service() needs that arbitration only when two requests share an
+// address.  The caller has already priced the batch, so it passes the
+// batch's distinct-address count (BatchProfile::distinct_addresses) and
+// service() picks one of two in-place branches:
+//  * duplicate-free (count == batch size): every request is served on
+//    its own — no two requests touch one cell, so any order is the
+//    parallel step;
+//  * anything else: the §II arbitration, pairwise scans over the batch
+//    (linear on a broadcast read: no writes to scan, and each traffic
+//    scan stops at the first request).
+// Delivered values go to a span the caller owns, so no branch allocates.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,12 +35,6 @@
 #include "mm/request.hpp"
 
 namespace hmm {
-
-/// Result of servicing a batch: for every request, the value read (for
-/// reads) or the value that ended up stored (for writes).
-struct ServicedBatch {
-  std::vector<Word> values;  ///< parallel to the input batch
-};
 
 class BankMemory {
  public:
@@ -47,10 +54,16 @@ class BankMemory {
   /// Bulk read of `count` words starting at `base`.
   std::vector<Word> dump(Address base, std::int64_t count) const;
 
-  /// Apply one warp batch: writes land (last-lane-wins per address, applied
-  /// after all reads of the batch observe the pre-batch state), reads
-  /// return values.  Also accumulates per-bank traffic counters.
-  ServicedBatch service(std::span<const Request> batch);
+  /// Apply one warp batch in place.  `distinct_addresses` must be the
+  /// batch's distinct-address count (its BatchProfile's); `values` (one
+  /// slot per request, owned by the caller) receives what each request
+  /// delivers: the value read, or for a write the value that ended up
+  /// stored.  Writes land after every read of the batch observed the
+  /// pre-batch state, the highest lane winning per address.  Every
+  /// address is checked before any cell changes.  Also accumulates
+  /// per-bank traffic: one count per distinct address.
+  void service(std::span<const Request> batch, std::int64_t distinct_addresses,
+               std::span<Word> values);
 
   /// Distinct-address accesses observed so far, per bank.
   const std::vector<std::int64_t>& bank_traffic() const {
@@ -76,6 +89,10 @@ class BankMemory {
   }
 
  private:
+  /// The §II arbitration for batches with a repeated address.
+  void service_arbitrated(std::span<const Request> batch,
+                          std::span<Word> values);
+
   MemoryGeometry geometry_;
   std::vector<Word> cells_;
   std::vector<std::int64_t> bank_traffic_;

@@ -71,6 +71,8 @@ BatchProfile profile_batch(const MemoryGeometry& geom,
 
   for (const Request& r : batch) {
     const Address a = r.address;
+    // The tables are indexed (and grown) by the raw address.
+    HMM_REQUIRE(a >= 0, "addresses are non-negative");
     std::uint64_t* addr_epoch =
         table_for(scratch.addr_epoch_, static_cast<std::size_t>(a));
     if (addr_epoch[a] == epoch) continue;  // duplicate: merges for free

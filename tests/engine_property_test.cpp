@@ -174,6 +174,36 @@ TEST(EngineProperty, OutOfRangeAccessInsideKernelIsDiagnosed) {
                  co_await t.read(MemorySpace::kGlobal, 16 + t.thread_id());
                }),
                PreconditionError);
+
+  // One bad lane among good ones, in the first round or after replay
+  // has locked onto the loop: the address is rejected before the batch
+  // is priced (the pricing tables index by it), and the machine then
+  // runs a clean kernel exactly like a fresh one.
+  constexpr std::int64_t kSize = 64;
+  const auto clean = [](ThreadCtx& t) -> SimTask {
+    co_await t.read(MemorySpace::kShared, t.lane());
+  };
+  const RunReport expected = Machine::dmm(32, 1, 32, kSize).run(clean);
+  for (const bool ff : {true, false}) {
+    for (const Address bad : {Address{-1}, Address{-5}, Address{kSize},
+                              Address{1} << 40}) {
+      for (const int warmup : {0, 24}) {
+        Machine dmm = Machine::dmm(32, 1, 32, kSize);
+        dmm.set_fast_forward(ff);
+        EXPECT_THROW(dmm.run([bad, warmup](ThreadCtx& t) -> SimTask {
+                       for (int i = 0; i < warmup; ++i) {
+                         co_await t.read(MemorySpace::kShared, t.lane());
+                       }
+                       co_await t.read(MemorySpace::kShared,
+                                       t.lane() == 3 ? bad : t.lane());
+                     }),
+                     PreconditionError)
+            << "address " << bad << ", fast-forward " << ff << ", warm-up "
+            << warmup;
+        EXPECT_EQ(dmm.run(clean), expected);
+      }
+    }
+  }
 }
 
 TEST(EngineProperty, WrongSpaceIsDiagnosedWithAHelpfulMessage) {

@@ -1,7 +1,9 @@
 // FrameArena unit tests plus end-to-end arena semantics: arena reuse
-// across runs, a thread-registered arena under a span driver, the
-// global-new fallback for directly built coroutines, and exception
-// propagation through nested SubTask chains under the arena.
+// across runs, frame recycling (per-size LIFO free lists, owner-routed
+// deletes, a run holding only its live frames), a thread-registered
+// arena under a span driver, the global-new fallback for directly built
+// coroutines, exception propagation through nested SubTask chains under
+// the arena, and (ASan builds only) poisoning of recycled frames.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +17,10 @@
 #include "machine/machine.hpp"
 #include "machine/task.hpp"
 #include "machine/thread_ctx.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace hmm {
 namespace {
@@ -35,7 +41,8 @@ TEST(FrameArenaTest, BumpAlignsAndCountsAllocations) {
 TEST(FrameArenaTest, ResetKeepsChunksAndReusesMemory) {
   FrameArena arena;
   void* first = arena.allocate(64);
-  arena.allocate(64);
+  void* second = arena.allocate(64);
+  arena.deallocate(second, 64);
   const std::size_t chunks = arena.chunk_count();
   const std::size_t capacity = arena.capacity_bytes();
   arena.reset();
@@ -44,7 +51,10 @@ TEST(FrameArenaTest, ResetKeepsChunksAndReusesMemory) {
   EXPECT_EQ(arena.chunk_count(), chunks);      // chunks survive reset
   EXPECT_EQ(arena.capacity_bytes(), capacity);
   // The bump pointer rewound: the next allocation reuses the same slot.
+  // Were `second` still on its free list it would come back first, so
+  // reset() emptied the lists.
   EXPECT_EQ(arena.allocate(64), first);
+  EXPECT_EQ(arena.allocate(64), second);
 }
 
 TEST(FrameArenaTest, GrowsNewChunksAndServesOversizeRequests) {
@@ -59,6 +69,69 @@ TEST(FrameArenaTest, GrowsNewChunksAndServesOversizeRequests) {
   EXPECT_EQ(arena.chunk_count(), 3u);
   EXPECT_GE(arena.capacity_bytes(), 10'000u);
 }
+
+TEST(FrameArenaTest, FreedBlocksComeBackLifoForTheirSizeOnly) {
+  FrameArena arena;
+  void* a = arena.allocate(48);
+  void* b = arena.allocate(48);
+  arena.deallocate(a, 48);
+  arena.deallocate(b, 48);
+  EXPECT_EQ(arena.bytes_in_use(), 0u);
+  // Other sizes never take a 48-byte block: they bump fresh memory.
+  void* small = arena.allocate(32);
+  void* large = arena.allocate(64);
+  for (void* p : {small, large}) {
+    EXPECT_NE(p, a);
+    EXPECT_NE(p, b);
+  }
+  // The same size (any request that rounds to it) pops the newest first.
+  EXPECT_EQ(arena.allocate(48), b);
+  EXPECT_EQ(arena.allocate(40), a);
+  EXPECT_EQ(arena.bytes_in_use(), 32u + 64u + 48u + 48u);
+  EXPECT_EQ(arena.allocations(), 6u);
+}
+
+TEST(FrameArenaTest, FrameFreedUnderAnotherArenaReturnsToItsOwn) {
+  FrameArena owner;
+  FrameArena other;
+  void* frame = nullptr;
+  {
+    const FrameArena::Scope scope(&owner);
+    frame = FrameArena::allocate_frame(100);
+  }
+  EXPECT_GT(owner.bytes_in_use(), 0u);
+  {
+    const FrameArena::Scope scope(&other);
+    FrameArena::deallocate_frame(frame);
+  }
+  EXPECT_EQ(owner.bytes_in_use(), 0u);
+  const FrameArena::Scope scope(&owner);
+  void* again = FrameArena::allocate_frame(100);
+  EXPECT_EQ(again, frame);
+  FrameArena::deallocate_frame(again);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// ASan builds only: a recycled frame is poisoned while it sits on the
+// free list (its header, which holds the link, excepted), so resuming a
+// freed SubTask is reported; handing it out again unpoisons it, and so
+// does reset().
+TEST(FrameArenaTest, RecycledFramesArePoisonedUntilReissued) {
+  FrameArena arena;
+  const FrameArena::Scope scope(&arena);
+  auto* frame = static_cast<std::byte*>(FrameArena::allocate_frame(64));
+  EXPECT_EQ(__asan_address_is_poisoned(frame), 0);
+  FrameArena::deallocate_frame(frame);
+  EXPECT_NE(__asan_address_is_poisoned(frame), 0);
+  EXPECT_NE(__asan_address_is_poisoned(frame + 63), 0);
+  auto* reissued = static_cast<std::byte*>(FrameArena::allocate_frame(64));
+  ASSERT_EQ(reissued, frame);
+  EXPECT_EQ(__asan_region_is_poisoned(reissued, 64), nullptr);
+  FrameArena::deallocate_frame(reissued);
+  arena.reset();
+  EXPECT_EQ(__asan_address_is_poisoned(frame), 0);
+}
+#endif
 
 TEST(FrameArenaTest, ScopesNestAndRestore) {
   EXPECT_EQ(FrameArena::current(), nullptr);
@@ -98,7 +171,7 @@ TEST(FrameArenaTest, ArenaFramesMayOutliveTheScope) {
   }();
   EXPECT_GE(arena.allocations(), 1u);
   // The scope is closed; resuming and destroying the frame afterwards
-  // must still work (the tag header routes the deallocation).
+  // must still work (the frame header routes the deallocation).
   task.resume();
   EXPECT_TRUE(task.done());
 }
@@ -131,6 +204,25 @@ TEST(FrameArenaTest, RepeatedRunsAreIdenticalAndReuseTheArena) {
   }
   // Steady state: later runs bump inside the chunks the first run grew.
   EXPECT_EQ(machine.frame_arena().capacity_bytes(), warm_capacity);
+}
+
+SimTask calls_kernel(ThreadCtx& t, int calls) {
+  for (int i = 0; i < calls; ++i) co_await tick(t);
+}
+
+// Each SubTask frame returns to the arena when its call completes and the
+// next call reuses it, so a run holds only its live frames: 64 sequential
+// calls per thread need exactly the arena one call needs.
+TEST(FrameArenaTest, SequentialSubtaskCallsReuseTheirFrames) {
+  const auto capacity_for = [](int calls) {
+    Machine machine(barrier_config());
+    machine.run([calls](ThreadCtx& t) { return calls_kernel(t, calls); });
+    EXPECT_EQ(machine.frame_arena().bytes_in_use(), 0u);  // all frames died
+    return machine.frame_arena().capacity_bytes();
+  };
+  const std::size_t one = capacity_for(1);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(capacity_for(64), one);
 }
 
 // A thread-registered arena serves the Machines a span driver builds

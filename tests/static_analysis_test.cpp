@@ -216,6 +216,64 @@ TEST(StaticAnalysis, RandomPlansMatchDynamicCheckerAcrossGrid) {
   }
 }
 
+// A DMM-affine kernel: shared addresses are the same on every DMM, global
+// ones move by dmm * shift.  Under PlanShape::dmm_affine the builder
+// records DMMs 0 and 1 only when DMM 1 prices as DMM 0 (shift a multiple
+// of w), and records every DMM otherwise; either way the report is the
+// full build's.  Three warps per DMM, the last one partial.
+TEST(StaticAnalysis, DmmAffinePromiseRecordsTwoDmmsAndPricesAsTheFullBuild) {
+  constexpr std::int64_t kWidth = 8, kDmms = 6, kThreads = 2 * kWidth + 3;
+  for (const std::int64_t shift : {std::int64_t{0}, 3 * kWidth, 3 * kWidth + 1}) {
+    std::int64_t lanes_recorded = 0;
+    const LaneFn lane_fn = [&](PlanCtx& c) {
+      ++lanes_recorded;
+      const std::int64_t self = c.local_thread_id();
+      const Address g0 = c.dmm_id() * shift;
+      c.set_label("stage-in");
+      c.read(MemorySpace::kGlobal, g0 + 2 * self);
+      c.write(MemorySpace::kShared, self);
+      c.barrier();
+      c.set_label("work");
+      c.read(MemorySpace::kShared, (3 * self) % kThreads);
+      c.read(MemorySpace::kGlobal, 0);
+      c.write(MemorySpace::kGlobal, g0 + self);
+    };
+    PlanShape shape{
+        .width = kWidth, .num_dmms = kDmms, .threads_per_dmm = kThreads};
+    const StaticReport full =
+        evaluate(analysis::build_access_plan("full", shape, lane_fn));
+    EXPECT_EQ(lanes_recorded, kDmms * kThreads);
+
+    lanes_recorded = 0;
+    shape.dmm_affine = true;
+    const StaticReport affine =
+        evaluate(analysis::build_access_plan("affine", shape, lane_fn));
+    // A failing witness stops at DMM 1's first warp, whose global read
+    // moved by a non-multiple of w; then every DMM is recorded.
+    EXPECT_EQ(lanes_recorded, shift % kWidth == 0 ? 2 * kThreads
+                                                  : kDmms * kThreads + kWidth)
+        << "shift " << shift;
+
+    EXPECT_TRUE(histograms_equal(affine.shared_hist, full.shared_hist))
+        << "shift " << shift;
+    EXPECT_TRUE(histograms_equal(affine.global_hist, full.global_hist))
+        << "shift " << shift;
+    EXPECT_EQ(affine.shared_hist.batches, full.shared_hist.batches);
+    EXPECT_EQ(affine.max_degree, full.max_degree);
+    EXPECT_EQ(affine.max_groups, full.max_groups);
+    EXPECT_EQ(affine.shared_stages, full.shared_stages);
+    EXPECT_EQ(affine.global_stages, full.global_stages);
+    ASSERT_EQ(affine.rounds.size(), full.rounds.size());
+    for (std::size_t i = 0; i < full.rounds.size(); ++i) {
+      EXPECT_EQ(affine.rounds[i].label, full.rounds[i].label);
+      EXPECT_EQ(affine.rounds[i].space, full.rounds[i].space);
+      EXPECT_EQ(affine.rounds[i].dispatches, full.rounds[i].dispatches);
+      EXPECT_EQ(affine.rounds[i].max_cost, full.rounds[i].max_cost);
+      EXPECT_EQ(affine.rounds[i].total_stages, full.rounds[i].total_stages);
+    }
+  }
+}
+
 // ---- layer 3: every registered workload, full differential grid -----------
 
 TEST(StaticAnalysis, RegisteredWorkloadsMatchDynamicAcrossDefaultGrid) {
