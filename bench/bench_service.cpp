@@ -6,7 +6,7 @@
 //
 // The server runs in-process on a unix socket with a real Client on the
 // other end, so every number includes the full production path: NDJSON
-// parse, admission, queueing, SweepRunner grids on warm frame arenas,
+// parse, admission, queueing, SweepRunner grids over a warm workload cache,
 // frame serialisation and socket I/O.  Four measurements:
 //   1. sequential requests/sec — single-point run requests issued
 //      request/response over one connection (the latency view);
@@ -104,7 +104,7 @@ RequestRateResult measure_request_rate(service::Client& client,
   RequestRateResult r;
   r.requests = requests;
 
-  // Warm-up: the first request pays worker arena + workload-cache fills.
+  // Warm-up: the first request pays the workload-cache fill.
   client.send(point_request("warm", n, p));
   await_done(client, "warm");
 

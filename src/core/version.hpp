@@ -7,9 +7,9 @@
 namespace hmm {
 
 inline constexpr int kVersionMajor = 1;
-inline constexpr int kVersionMinor = 7;
+inline constexpr int kVersionMinor = 8;
 inline constexpr int kVersionPatch = 0;
-inline constexpr const char* kVersionString = "1.7.0";
+inline constexpr const char* kVersionString = "1.8.0";
 
 /// Optional engine/tooling capabilities compiled into this build, in
 /// lexicographic order.  `hmmsim --version`, the daemon's hello frame and

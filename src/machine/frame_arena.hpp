@@ -16,9 +16,9 @@
 //
 // Contract:
 //  * An arena is single-threaded.  The thread that activates it performs
-//    every allocation and deallocation: each Machine owns one, and a
-//    long-lived worker may register one for its thread (RunScratch in
-//    machine.hpp), so arenas never cross threads.
+//    every allocation and deallocation: each Machine owns one and
+//    activates it only for the span of its own run, on the thread that
+//    runs it, so an arena is never used by two threads at once.
 //  * reset() may only run while no frame allocated from the arena is
 //    alive.  The engine guarantees this: it owns every SimTask of a run
 //    (frames die with the Engine), and it resets the arena at run start,

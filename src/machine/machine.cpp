@@ -11,9 +11,7 @@
 namespace hmm {
 
 namespace {
-// Per-thread registrations.  Registration and every use happen on the
-// owning thread, so no synchronisation is involved.
-thread_local RunScratch* t_scratch = nullptr;  // Machine::set_thread_scratch
+// Installed and read on the same thread, so no synchronisation is involved.
 thread_local const MachineOverlay* t_overlay = nullptr;  // MachineOverlayScope
 
 std::vector<std::int64_t> thread_counts(const std::vector<DmmShape>& dmms) {
@@ -23,8 +21,6 @@ std::vector<std::int64_t> thread_counts(const std::vector<DmmShape>& dmms) {
   return threads;
 }
 }  // namespace
-
-void Machine::set_thread_scratch(RunScratch* scratch) { t_scratch = scratch; }
 
 MachineOverlayScope::MachineOverlayScope(const MachineOverlay* overlay)
     : saved_(t_overlay) {
@@ -411,7 +407,7 @@ class Engine {
   std::vector<std::int32_t> flagged_lanes_;
   std::size_t width_ = 0;  // topology width, cached for slice math
   // Round-pattern memoization state, sampled once per run: cache_ is
-  // the run's RunScratch cache, or null when fast-forward is off; replay
+  // the machine's pattern cache, or null when fast-forward is off; replay
   // additionally requires that no observer is attached (the global
   // fallback of the observer contract — observers see every event of a
   // fully simulated run).
@@ -558,13 +554,11 @@ RunReport Engine::run() {
   trace_ =
       machine_.observer_ != nullptr && machine_.observer_->wants_trace_events();
 
-  RunScratch& scratch = t_scratch != nullptr ? *t_scratch : machine_.scratch_;
-
   // Round-pattern memoization (mm/pattern_cache.hpp).  The cache is pure
   // memoization of exact profiles, so it stays on even under observation;
   // the REPLAY shortcut falls back to full simulation whenever an
   // observer is attached, so observers always see every batch event.
-  cache_ = machine_.config_.fast_forward ? &scratch.cache : nullptr;
+  cache_ = machine_.fast_forward_ ? &machine_.cache_ : nullptr;
   replay_enabled_ = cache_ != nullptr && machine_.observer_ == nullptr;
   const std::int64_t cache_hits0 = cache_ != nullptr ? cache_->hits() : 0;
   const std::int64_t cache_misses0 = cache_ != nullptr ? cache_->misses() : 0;
@@ -574,8 +568,8 @@ RunReport Engine::run() {
   // thread enters a device subroutine mid-run, so the scope must span
   // the scheduling loop too.  Resetting here is safe — frames die with
   // the Engine, and the previous run's engine is long gone.
-  scratch.arena.reset();
-  const FrameArena::Scope arena_scope(&scratch.arena);
+  machine_.arena_.reset();
+  const FrameArena::Scope arena_scope(&machine_.arena_);
 
   launch_threads();
   report_.threads = machine_.num_threads();
@@ -606,10 +600,10 @@ RunReport Engine::run() {
     report_.exec.push_back(ExecStats{e.slots, e.next_free});
   }
   if (cache_ != nullptr) {
-    // This run's share of a cache that may outlive it.  The hit/miss
-    // split depends on how warm that cache was — a worker's registered
-    // RunScratch carries it across runs — which is why
-    // RunReport::operator== excludes FastForwardStats.
+    // This run's share of a cache that outlives it.  The hit/miss split
+    // depends on how warm that cache was — the machine's earlier runs
+    // fill it — which is why RunReport::operator== excludes
+    // FastForwardStats.
     report_.fast_forward.cache_hits = cache_->hits() - cache_hits0;
     report_.fast_forward.cache_misses = cache_->misses() - cache_misses0;
   }

@@ -99,27 +99,6 @@ struct MachineConfig {
   std::int64_t width = 32;
   std::vector<DmmShape> dmms = {DmmShape{}};
   std::optional<MemorySpec> global;  ///< one global memory, UMM pricing
-  /// Round-pattern memoization and verified fast-forward replay of
-  /// periodic warps (default on).  Results are identical either way —
-  /// the replay path re-verifies every lane's request before trusting a
-  /// recorded pattern and bails out to full simulation on any deviation
-  /// — so this switch exists for A/B measurement and as a conservatism
-  /// valve.  With an EngineObserver attached the replay shortcut
-  /// disables itself (full simulation, so observers see every event);
-  /// the profile cache stays on because cached profiles are exact.
-  bool fast_forward = true;
-};
-
-/// What a run reuses instead of reallocating or repricing: coroutine
-/// frames (machine/frame_arena.hpp) and priced round patterns
-/// (mm/pattern_cache.hpp).  Every Machine owns one; a long-lived worker
-/// thread may register its own (Machine::set_thread_scratch) so it stays
-/// warm across the machines it builds.  Warmth never changes results:
-/// the arena holds only transient frames, and cache entries are
-/// geometry-keyed exact profiles.
-struct RunScratch {
-  FrameArena arena;
-  PatternCache cache;
 };
 
 class Machine {
@@ -168,23 +147,20 @@ class Machine {
   EngineObserver* observer() const { return observer_; }
 
   // ---- round-pattern memoization (mm/pattern_cache.hpp) ----------------
-  /// Enable/disable the pattern cache AND the fast-forward replay for all
-  /// subsequent runs (overrides MachineConfig::fast_forward).
-  void set_fast_forward(bool enabled) { config_.fast_forward = enabled; }
-  bool fast_forward_enabled() const { return config_.fast_forward; }
+  /// Enable/disable the pattern cache AND the verified fast-forward
+  /// replay of periodic warps for all subsequent runs (default on).
+  /// Results are identical either way — the replay path re-verifies every
+  /// lane's request before trusting a recorded pattern and bails out to
+  /// full simulation on any deviation — so this switch exists for A/B
+  /// measurement and as a conservatism valve.  With an EngineObserver
+  /// attached the replay shortcut disables itself (full simulation, so
+  /// observers see every event); the profile cache stays on because
+  /// cached profiles are exact.
+  void set_fast_forward(bool enabled) { fast_forward_ = enabled; }
 
-  // ---- per-run scratch (RunScratch) -----------------------------------
-  /// This machine's own frame arena, which its runs reset and allocate
-  /// from unless the calling thread registered a RunScratch.
-  const FrameArena& frame_arena() const { return scratch_.arena; }
-  /// Register `scratch` for every run on the CALLING thread, in place of
-  /// each machine's own (nullptr deregisters).  This is how a long-lived
-  /// worker keeps its arena and pattern cache warm under the span
-  /// drivers (alg::sum_hmm etc.) that build Machines internally, out of
-  /// the worker's reach: hmmsimd registers one for each grid point.
-  /// Every run resets the arena and keeps the cache, so `scratch` must
-  /// outlive every run on this thread and never be shared across threads.
-  static void set_thread_scratch(RunScratch* scratch);
+  /// The frame arena every run of this machine resets and allocates its
+  /// coroutine frames from (machine/frame_arena.hpp).
+  const FrameArena& frame_arena() const { return arena_; }
 
  private:
   friend class Engine;
@@ -204,7 +180,13 @@ class Machine {
   std::vector<Port> shared_;      // one per DMM when configured
   std::optional<Port> global_;
   EngineObserver* observer_ = nullptr;  // not owned
-  RunScratch scratch_;  // this machine's own (see set_thread_scratch)
+  bool fast_forward_ = true;  // see set_fast_forward
+  // Reused by every run of this machine, never shared with another:
+  // warmth cannot change results, because the arena holds only the
+  // frames of the run in progress and cache entries are geometry-keyed
+  // exact profiles.
+  FrameArena arena_;
+  PatternCache cache_;
 };
 
 /// Installs `overlay` on the calling thread for the span of one dispatch:

@@ -103,11 +103,10 @@ struct MetricsSnapshot {
 /// Diagnostics of the round-pattern cache and the verified fast-forward
 /// replay path (docs/PERF.md, "Analytic fast-forward").  These counters
 /// describe HOW a result was computed, not WHAT it is: cache hit rates
-/// depend on cache warmth (hmmsimd reuses its caches across requests,
-/// Machine::set_thread_scratch) and replayed_rounds depends
-/// on whether the shortcut was enabled — so FastForwardStats is
-/// deliberately EXCLUDED from RunReport::operator==, which compares
-/// simulation results only.
+/// depend on cache warmth (a machine's pattern cache outlives each of
+/// its runs) and replayed_rounds depends on whether the shortcut was
+/// enabled — so FastForwardStats is deliberately EXCLUDED from
+/// RunReport::operator==, which compares simulation results only.
 struct FastForwardStats {
   std::int64_t cache_hits = 0;      ///< profile_batch calls skipped
   std::int64_t cache_misses = 0;    ///< batches priced then memoized

@@ -73,10 +73,9 @@ PatternKeyInfo build_pattern_key(const MemoryGeometry& geom,
 
 /// Exact-keyed profile cache.  Open hashing over the cache fingerprint;
 /// every probe memcmps the full key words, so distinct keys never alias.
-/// One instance may serve any sequence of batches, geometries, runs and
-/// machines (every Machine owns one, and a long-lived worker may register
-/// one for all its machines, machine/machine.hpp RunScratch); it is NOT
-/// thread-safe — dedicate one per thread.
+/// One instance may serve any sequence of batches, geometries and runs
+/// (every Machine owns one, which all its runs share); it is NOT
+/// thread-safe — never use one from two threads at once.
 class PatternCache {
  public:
   PatternCache() = default;

@@ -48,9 +48,9 @@ struct SweepMeasurement {
   std::int64_t global_stages = 0;
   /// Rounds the engine fast-forwarded via verified pattern replay
   /// (RunReport::fast_forward.replayed_rounds).  Deterministic for a
-  /// given grid point and --fast-forward setting — unlike the cache
-  /// hit/miss counters, which depend on cache warmth and so stay out of
-  /// the CSV.
+  /// given grid point and --fast-forward setting.  The cache hit/miss
+  /// counters stay out of the CSV: they depend on what the machine ran
+  /// before (its pattern cache outlives each run), not on the point.
   std::int64_t ff_rounds = 0;
   /// Non-null when the run was observed by a MetricsRegistry (--metrics);
   /// adds the five metric columns.  Not owned.

@@ -1,5 +1,6 @@
 #include "run/shard.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <utility>
@@ -102,14 +103,24 @@ bool parse_shard_spec(std::string_view spec, ShardPlan& plan) {
 }
 
 std::int64_t GridSpec::points() const {
+  constexpr std::int64_t kOver = kMaxGridPoints + 1;
   std::int64_t total = 1;
   for (const auto* axis : {&n, &m, &p, &w, &l, &d}) {
-    total *= static_cast<std::int64_t>(axis->size());
+    // Both factors are at most kOver, so the product stays below 2^33.
+    const auto size = static_cast<std::int64_t>(
+        std::min(axis->size(), static_cast<std::size_t>(kOver)));
+    total = std::min(total * size, kOver);
   }
   return total;
 }
 
+std::string GridSpec::size_error() const {
+  if (points() <= kMaxGridPoints) return {};
+  return "has more than " + std::to_string(kMaxGridPoints) + " points";
+}
+
 std::vector<Point> GridSpec::expand() const {
+  HMM_REQUIRE(size_error().empty(), "GridSpec::expand: grid " + size_error());
   std::vector<Point> grid;
   grid.reserve(static_cast<std::size_t>(points()));
   for (const std::int64_t nv : n)
@@ -184,6 +195,8 @@ Manifest plan_manifest(const GridSpec& spec, std::int64_t shards,
                        const std::string& tool, const std::string& header) {
   HMM_REQUIRE(shards >= 1, "plan_manifest: shards must be >= 1");
   HMM_REQUIRE(!spec.algorithm.empty(), "plan_manifest: empty algorithm");
+  HMM_REQUIRE(spec.size_error().empty(),
+              "plan_manifest: grid " + spec.size_error());
   Manifest manifest;
   manifest.tool = tool;
   manifest.fingerprint = spec.fingerprint();
@@ -333,6 +346,8 @@ Manifest parse_manifest_json(const std::string& text) {
   manifest.grid.w = parse_axis(axes, "w");
   manifest.grid.l = parse_axis(axes, "l");
   manifest.grid.d = parse_axis(axes, "d");
+  const std::string size_error = manifest.grid.size_error();
+  HMM_REQUIRE(size_error.empty(), "manifest: grid " + size_error);
 
   for (const json::Value& e : doc.get("entries").as_array()) {
     ManifestEntry entry;

@@ -52,6 +52,13 @@ std::uint64_t fnv1a64(std::string_view bytes);
 std::string axis_error(const std::vector<std::int64_t>& values,
                        std::int64_t min = 1);
 
+/// Most points one sweep grid may have, on argv, the wire and in
+/// manifests alike.  A grid is expanded into one Point per grid index
+/// before any point runs, so without a cap a few hundred bytes of axis
+/// lists ask for unbounded memory; the largest grid any test, bench or
+/// documented workflow sweeps has 16 points.
+inline constexpr std::int64_t kMaxGridPoints = 65536;
+
 /// Round-robin shard assignment: shard `shard` of `shards` owns every
 /// grid index congruent to it mod `shards`.
 struct ShardPlan {
@@ -102,12 +109,21 @@ struct GridSpec {
   /// grids and parsed manifests.  Runner input like machine_path.
   std::shared_ptr<const topo::TopologySpec> topology;
 
-  /// Total grid points (product of the six axis sizes).
+  /// Total grid points: the product of the six axis sizes while it is
+  /// at most kMaxGridPoints, and kMaxGridPoints + 1 for any larger grid.
+  /// The count stops growing once it passes the cap, so it never
+  /// overflows, however long the axes are.
   std::int64_t points() const;
+
+  /// The grid-size rule argv, the wire and manifests share: why this
+  /// grid is too large to run ("has more than 65536 points"), or an
+  /// empty string when points() <= kMaxGridPoints.
+  std::string size_error() const;
 
   /// The grid's points in row-major (n, m, p, w, l, d) order, n
   /// outermost, each carrying `topology` — so grid index i names the
   /// same point in a local sweep, a shard run and a daemon request.
+  /// Throws PreconditionError for a grid that breaks size_error().
   std::vector<Point> expand() const;
 
   /// Adopt a resolved --machine topology (null adopts nothing): its
@@ -156,6 +172,7 @@ struct Manifest {
 /// record in each entry's argv (conventionally "hmmsim"); `header` is
 /// the sharded CSV header the runs will emit
 /// (report/sweep_csv.hpp: sweep_csv_header(spec.metrics, true)).
+/// Throws PreconditionError for a grid that breaks GridSpec::size_error().
 Manifest plan_manifest(const GridSpec& spec, std::int64_t shards,
                        const std::string& tool, const std::string& header);
 

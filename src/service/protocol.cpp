@@ -144,6 +144,10 @@ RunRequest run_request_from_json(const json::Value& v) {
     throw PreconditionError(
         "run request: machine and machine_preset are mutually exclusive");
   }
+  const std::string size_error = grid_spec(r).size_error();
+  if (!size_error.empty()) {
+    throw PreconditionError("run request: grid " + size_error);
+  }
   return r;
 }
 

@@ -111,9 +111,10 @@ using Request =
                  DrainRequest>;
 
 json::Value request_json(const Request& request);
-/// Throws PreconditionError on unknown type, missing fields, or axes and
-/// a seed that break run::axis_error — the rule the CLI and manifests
-/// apply too.
+/// Throws PreconditionError on unknown type, missing fields, axes and a
+/// seed that break run::axis_error, or a grid of more than
+/// run::kMaxGridPoints points — the rules the CLI and manifests apply
+/// too.
 Request request_from_json(const json::Value& v);
 
 /// The request's sweep fields as a GridSpec, and back: the two spell

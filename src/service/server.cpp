@@ -66,40 +66,6 @@ std::shared_ptr<const topo::TopologySpec> resolve_machine(
   return nullptr;
 }
 
-// Lends a RunScratch from the server's idle list to the calling thread
-// (Machine::set_thread_scratch) for one grid point, and gives it back
-// even when the point throws.  A new one is made only when every
-// scratch is lent out; the executor runs at most `jobs` points at once,
-// so at most `jobs` ever exist.
-class ScratchLease {
- public:
-  using IdleList = std::vector<std::unique_ptr<RunScratch>>;
-
-  ScratchLease(std::mutex& mu, IdleList& idle) : mu_(mu), idle_(idle) {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      if (!idle_.empty()) {
-        scratch_ = std::move(idle_.back());
-        idle_.pop_back();
-      }
-    }
-    if (scratch_ == nullptr) scratch_ = std::make_unique<RunScratch>();
-    Machine::set_thread_scratch(scratch_.get());
-  }
-  ~ScratchLease() {
-    Machine::set_thread_scratch(nullptr);
-    const std::lock_guard<std::mutex> lk(mu_);
-    idle_.push_back(std::move(scratch_));  // capacity reserved: no throw
-  }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
- private:
-  std::mutex& mu_;
-  IdleList& idle_;
-  std::unique_ptr<RunScratch> scratch_;
-};
-
 }  // namespace
 
 // ---- Server --------------------------------------------------------------
@@ -114,7 +80,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   HMM_REQUIRE(config_.max_queue >= 1, "server: max_queue must be >= 1");
   HMM_REQUIRE(config_.client_budget >= 1,
               "server: client_budget must be >= 1");
-  idle_scratch_.reserve(static_cast<std::size_t>(config_.jobs));
   conns_.reserve(kMaxConnections);
 }
 
@@ -431,7 +396,6 @@ void Server::execute_run(QueuedRun job) {
     }
     const run::Point& point = job.grid[static_cast<std::size_t>(i)];
     try {
-      const ScratchLease lease(scratch_mu_, idle_scratch_);
       telemetry::MetricsRegistry registry;
       telemetry::ObserverFanout fanout;
       std::optional<telemetry::NdjsonStreamSink> sink;

@@ -1,7 +1,6 @@
 // The hmmsimd server — a persistent simulation service over NDJSON.
 //
-// One Server owns three kinds of threads, one WorkloadCache and an idle
-// list of RunScratch:
+// One Server owns three kinds of threads and one WorkloadCache:
 //
 //  * the SERVE loop (the caller's thread): poll()s the listening socket,
 //    accepts connections (at most kMaxConnections at once), reaps dead
@@ -16,12 +15,10 @@
 //    with (req, grid_index).  With jobs == 1, or a one-point grid, the
 //    executor runs the points itself.
 //
-// Warmth: each grid point borrows a RunScratch (FrameArena +
-// PatternCache) from the server's idle list and registers it with
-// Machine::set_thread_scratch for that point only, so arenas and pattern
-// caches stay WARM across requests — the latency edge a daemon has over
-// forking `hmmsim` per sweep, measured by bench_service.  At most `jobs`
-// points run at once, so at most `jobs` RunScratch ever exist.
+// Warmth: the WorkloadCache keeps generated inputs across requests — the
+// edge a daemon has over forking `hmmsim` per sweep, measured by
+// bench_service.  Nothing else carries over: every grid point builds its
+// machines afresh, each with its own frame arena and pattern cache.
 //
 // Determinism: every grid point runs run::run_point — the same dispatch
 // the CLI uses — and result frames carry the finished sweep-CSV row, so
@@ -47,7 +44,6 @@
 #include <vector>
 
 #include "alg/workload.hpp"
-#include "machine/machine.hpp"
 #include "service/address.hpp"
 #include "service/protocol.hpp"
 #include "service/stats.hpp"
@@ -138,10 +134,6 @@ class Server {
   ServerConfig config_;
   ServiceStats stats_;
   alg::WorkloadCache workloads_;
-
-  std::mutex scratch_mu_;
-  /// RunScratch no grid point holds (guarded by scratch_mu_).
-  std::vector<std::unique_ptr<RunScratch>> idle_scratch_;
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: request_drain -> serve loop

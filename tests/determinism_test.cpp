@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -267,35 +266,40 @@ TEST(FastForwardEquivalence, MetricsObserverSeesIdenticalRuns) {
   EXPECT_EQ(on.second, off.second);
 }
 
-// A registered RunScratch carries its pattern cache across runs and
-// machines, so a driver's result must not depend on what ran before it
-// on that thread.  A thread with none registered stays cold: each
-// Machine starts from an empty cache of its own.
+// A machine's pattern cache outlives each of its runs, so what a run
+// computes must not depend on what that machine ran before: a cache warm
+// from a sort and a sum prices exactly what a fresh machine's cold one
+// does.
 TEST(Determinism, WarmPatternCacheNeverChangesResults) {
-  const std::vector<FfDriver> drivers = ff_drivers();
-  std::vector<RunReport> cold(drivers.size());
-  for (std::size_t i = 0; i < drivers.size(); ++i) {
-    std::thread([&] { cold[i] = drivers[i].run(true, nullptr); }).join();
-  }
-  std::thread([&] {
-    RunScratch scratch;
-    Machine::set_thread_scratch(&scratch);
-    for (const FfDriver& d : drivers) d.run(true, nullptr);
-    for (std::size_t i = 0; i < drivers.size(); ++i) {
-      const RunReport warm = drivers[i].run(true, nullptr);
-      EXPECT_EQ(warm, cold[i]) << drivers[i].name;
-      EXPECT_EQ(warm.fast_forward.cache_misses, 0) << drivers[i].name;
-    }
-    Machine::set_thread_scratch(nullptr);
-    for (std::size_t i = 0; i < drivers.size(); ++i) {
-      const FastForwardStats again =
-          drivers[i].run(true, nullptr).fast_forward;
-      EXPECT_EQ(again.cache_hits, cold[i].fast_forward.cache_hits)
-          << drivers[i].name;
-      EXPECT_EQ(again.cache_misses, cold[i].fast_forward.cache_misses)
-          << drivers[i].name;
-    }
-  }).join();
+  const std::int64_t n = 1 << 9;
+  const std::int64_t d = 4;
+  const auto keys = alg::random_words(n, 29);
+  const auto fresh = [&] {
+    return Machine::hmm(32, 100, d, 64, n / d, n + d);
+  };
+  const auto sum = [&](Machine& m) {
+    m.global_memory().load(0, keys);
+    return alg::sum_hmm(m, n);
+  };
+  const auto sort = [&](Machine& m) {
+    m.global_memory().load(0, keys);
+    return alg::sort_hmm(m, n);
+  };
+  Machine cold_sum_machine = fresh();
+  const alg::MachineSum cold_sum = sum(cold_sum_machine);
+  Machine cold_sort_machine = fresh();
+  const alg::MachineSort cold_sort = sort(cold_sort_machine);
+
+  Machine machine = fresh();
+  sort(machine);
+  const alg::MachineSum warm_sum = sum(machine);
+  EXPECT_EQ(warm_sum.report, cold_sum.report);
+  EXPECT_EQ(warm_sum.sum, cold_sum.sum);
+  const alg::MachineSort warm_sort = sort(machine);
+  EXPECT_EQ(warm_sort.report, cold_sort.report);
+  EXPECT_EQ(warm_sort.sorted, cold_sort.sorted);
+  EXPECT_EQ(warm_sort.report.fast_forward.cache_misses, 0);
+  EXPECT_GT(warm_sort.report.fast_forward.cache_hits, 0);
 }
 
 // Every hmm point reaches the engine under an overlay (run::HmmShape):

@@ -1,17 +1,15 @@
 // FrameArena unit tests plus end-to-end arena semantics: arena reuse
 // across runs, frame recycling (per-size LIFO free lists, owner-routed
-// deletes, a run holding only its live frames), a thread-registered
-// arena under a span driver, the global-new fallback for directly built
-// coroutines, exception propagation through nested SubTask chains under
-// the arena, and (ASan builds only) poisoning of recycled frames.
+// deletes, a run holding only its live frames), the global-new fallback
+// for directly built coroutines, exception propagation through nested
+// SubTask chains under the arena, and (ASan builds only) poisoning of
+// recycled frames.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "alg/sum.hpp"
-#include "alg/workload.hpp"
 #include "core/types.hpp"
 #include "machine/frame_arena.hpp"
 #include "machine/machine.hpp"
@@ -223,29 +221,6 @@ TEST(FrameArenaTest, SequentialSubtaskCallsReuseTheirFrames) {
   const std::size_t one = capacity_for(1);
   EXPECT_GT(one, 0u);
   EXPECT_EQ(capacity_for(64), one);
-}
-
-// A thread-registered arena serves the Machines a span driver builds
-// internally, out of the caller's reach.
-TEST(FrameArenaTest, ExternalArenaIsUsedAndReachesSteadyState) {
-  const auto xs = alg::random_words(1 << 10, 3);
-  const auto run = [&] { return alg::sum_hmm(xs, 4, 32, 32, 100).report; };
-  RunScratch scratch;
-  const FrameArena& arena = scratch.arena;
-  Machine::set_thread_scratch(&scratch);
-  const RunReport first = run();
-  const std::size_t allocations = arena.allocations();
-  const std::size_t warm_capacity = arena.capacity_bytes();
-  const RunReport second = run();
-  const std::size_t second_capacity = arena.capacity_bytes();
-  Machine::set_thread_scratch(nullptr);
-  EXPECT_GE(allocations, 4u * 32u);  // every thread's frame came from it
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(second_capacity, warm_capacity);
-  // Deregistered: the driver's machine falls back to its own arena.
-  scratch.arena.reset();
-  EXPECT_EQ(run(), first);
-  EXPECT_EQ(arena.allocations(), 0u);
 }
 
 // ---- exception propagation through nested SubTasks under the arena ----

@@ -711,6 +711,43 @@ TEST(Service, OverDeepLineGetsAnErrorFrameAndTheConnectionServesOn) {
   EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
 }
 
+// Ten values on each of the six axes are 1,000,000 grid points, far past
+// run::kMaxGridPoints: the request is refused before anything expands
+// them, and its connection keeps serving.
+TEST(Service, OversizedGridGetsAnErrorFrameAndTheConnectionServesOn) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_grid_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  service::RunRequest big;
+  big.id = "big";
+  big.algorithm = "sum";
+  const std::vector<std::int64_t> ten = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  big.n = big.m = big.p = big.w = big.l = big.d = ten;
+  RawConnection raw(config.listen);
+  ASSERT_TRUE(raw.read_frame().has_value());  // hello
+  raw.write(request_line(big));
+  const auto error = raw.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::ErrorFrame>(*error));
+  EXPECT_EQ(std::get<service::ErrorFrame>(*error).req, "big");
+  EXPECT_NE(std::get<service::ErrorFrame>(*error).message.find("65536"),
+            std::string::npos);
+  raw.write(request_line(service::PingRequest{"after"}));
+  const auto pong = raw.read_frame();
+  ASSERT_TRUE(pong.has_value());
+  ASSERT_TRUE(std::holds_alternative<service::PongFrame>(*pong));
+  EXPECT_EQ(std::get<service::PongFrame>(*pong).req, "after");
+
+  raw.write(request_line(service::DrainRequest{"d"}));
+  serve.join();
+  EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
+  EXPECT_EQ(server.stats_snapshot().requests_accepted, 0);
+}
+
 TEST(Service, OverLongLineIsRefusedAndItsConnectionClosed) {
   service::ServerConfig config;
   config.listen = service::parse_address(

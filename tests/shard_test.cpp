@@ -114,6 +114,41 @@ TEST(GridSpec, PointsIsTheAxisProduct) {
   EXPECT_EQ(one.points(), 1);
 }
 
+// The grid-size rule: run::kMaxGridPoints points are allowed, one more is
+// not.  65,537 is prime, so a grid of that size is one axis that long.
+TEST(GridSpec, GridsPastTheCapAreRejected) {
+  GridSpec spec;
+  spec.algorithm = "sum";
+  spec.n.assign(256, 4096);
+  spec.m.assign(256, 32);
+  EXPECT_EQ(run::kMaxGridPoints, 65536);
+  EXPECT_EQ(spec.points(), 65536);
+  EXPECT_EQ(spec.size_error(), "");
+  EXPECT_EQ(spec.expand().size(), 65536u);
+
+  spec.n.assign(65537, 4096);
+  spec.m = {32};
+  EXPECT_EQ(spec.points(), run::kMaxGridPoints + 1);
+  EXPECT_EQ(spec.size_error(), "has more than 65536 points");
+  EXPECT_THROW(spec.expand(), PreconditionError);
+  EXPECT_THROW(run::plan_manifest(spec, 2, "hmmsim",
+                                  sweep_csv_header(false, true)),
+               PreconditionError);
+}
+
+// Four axes of 2^16 values multiply to 2^64, past the int64 range: the
+// count stops at the cap instead of computing the product (UBSan builds
+// would report the signed overflow).
+TEST(GridSpec, AnOverflowingAxisProductIsRejectedWithoutComputingIt) {
+  GridSpec spec;
+  spec.algorithm = "sum";
+  for (std::vector<std::int64_t>* axis : {&spec.n, &spec.m, &spec.p, &spec.w}) {
+    axis->assign(65536, 1);
+  }
+  EXPECT_EQ(spec.points(), run::kMaxGridPoints + 1);
+  EXPECT_FALSE(spec.size_error().empty());
+}
+
 TEST(GridSpec, FingerprintIsStableAndSensitive) {
   const GridSpec spec = small_spec();
   EXPECT_EQ(spec.fingerprint(), spec.fingerprint());
@@ -280,6 +315,28 @@ TEST(Manifest, ParseRejectsInconsistentDocuments) {
   bad.replace(seed_at, std::strlen("\"seed\": 18446744073709551615"),
               "\"seed\": -1");
   EXPECT_THROW(run::parse_manifest_json(bad), PreconditionError);
+}
+
+// A self-consistent manifest of 1000 x 1000 points — its fingerprint,
+// grid_points and entry count all agree with its axes — is refused by
+// the grid-size rule alone, before hmm-merge sizes anything by it.
+TEST(Manifest, ParseRejectsAGridPastTheCap) {
+  Manifest manifest = run::plan_manifest(small_spec(), 1, "hmmsim",
+                                         sweep_csv_header(false, true));
+  manifest.grid.n.assign(1000, 4096);
+  manifest.grid.m.assign(1000, 32);
+  manifest.grid.l = {100};
+  manifest.grid.d = {4};
+  manifest.fingerprint = manifest.grid.fingerprint();
+  manifest.grid_points = 1000000;
+  manifest.entries[0].grid_points = 1000000;
+  try {
+    run::parse_manifest_json(run::manifest_json(manifest));
+    FAIL() << "a 1,000,000-point manifest was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("65536"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

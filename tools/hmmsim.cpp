@@ -185,8 +185,11 @@ int usage(const char* argv0) {
       "                    (events past the budget are counted in drop\n"
       "                    frames, never buffered)\n\n"
       "Comma-separated values sweep the cartesian grid in parallel, e.g.\n"
-      "  %s sum --n 4096,65536 --l 100,400 --jobs 0\n",
-      kVersionString, argv0, argv0);
+      "  %s sum --n 4096,65536 --l 100,400 --jobs 0\n"
+      "A grid may have at most %lld points (the product of the six axis\n"
+      "lengths); a larger one is a usage error.\n",
+      kVersionString, argv0, argv0,
+      static_cast<long long>(run::kMaxGridPoints));
   return 2;
 }
 
@@ -362,6 +365,8 @@ bool parse(int argc, char** argv, Cli& cli) {
       if (axis && !parse_list(v, *axis)) return false;
     }
   }
+  // A grid past run::kMaxGridPoints is refused before anything expands it.
+  if (!grid.size_error().empty()) return false;
   // A --machine file REPLACES the machine-shape axes; mixing the two
   // spellings would silently make one of them win, so it is a usage
   // error instead (docs/TOPOLOGY.md "Flags and JSON are one vocabulary").

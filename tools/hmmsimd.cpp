@@ -6,10 +6,11 @@
 // Accepts newline-delimited JSON requests (run/sweep, stats, version,
 // ping, drain) over a unix or TCP socket and streams back incremental
 // NDJSON frames: per-grid-point results, metrics snapshots and — opt-in,
-// budget-bounded — live telemetry events.  Grid points reuse the
-// daemon's frame arenas and pattern caches, warm across requests, which
-// is the latency edge over forking `hmmsim` per sweep (measured by
-// bench_service).
+// budget-bounded — live telemetry events.  Grid points reuse the inputs
+// the daemon generated for earlier requests, which is the edge over
+// forking `hmmsim` per sweep (measured by bench_service); each point
+// still builds fresh machines, so it computes what a local run computes.
+// A grid of more than run::kMaxGridPoints points is refused.
 //
 // `hmmsim --connect=ADDR` is the matching client; the wire protocol is
 // documented in docs/OBSERVABILITY.md.  SIGINT/SIGTERM (or a client's
