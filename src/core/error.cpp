@@ -4,26 +4,17 @@
 
 namespace hmm::detail {
 
-namespace {
-
-std::string format(const char* kind, const char* expr, const std::string& msg,
-                   std::source_location loc) {
-  std::ostringstream os;
-  os << kind << " failed: (" << expr << ") — " << msg << " [" << loc.file_name()
-     << ":" << loc.line() << " in " << loc.function_name() << "]";
-  return os.str();
-}
-
-}  // namespace
-
-void throw_precondition(const char* expr, const std::string& msg,
-                        std::source_location loc) {
-  throw PreconditionError(format("precondition", expr, msg, loc));
+void throw_precondition(const std::string& msg) {
+  throw PreconditionError(msg);
 }
 
 void throw_internal(const char* expr, const std::string& msg,
                     std::source_location loc) {
-  throw InternalError(format("invariant", expr, msg, loc));
+  std::ostringstream os;
+  os << "invariant failed: (" << expr << ") — " << msg << " ["
+     << loc.file_name() << ":" << loc.line() << " in " << loc.function_name()
+     << "]";
+  throw InternalError(os.str());
 }
 
 }  // namespace hmm::detail

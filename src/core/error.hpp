@@ -14,14 +14,17 @@ namespace hmm {
 
 /// Thrown when a caller violates a documented precondition of the public
 /// API (e.g. a non-positive width, a thread count not divisible by the
-/// number of DMMs where an algorithm requires it).
+/// number of DMMs where an algorithm requires it).  `what()` is the
+/// message alone: the tools print it and the daemon sends it to clients,
+/// so it names neither the failed expression nor a source location.
 class PreconditionError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
 };
 
 /// Thrown when the simulator detects an internal inconsistency.  Seeing
-/// this exception always indicates a bug in hmm-sim itself.
+/// this exception always indicates a bug in hmm-sim itself, so `what()`
+/// names the failed expression and where it was checked.
 class InternalError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -40,8 +43,7 @@ class DeadlockError : public std::runtime_error {
 
 namespace detail {
 
-[[noreturn]] void throw_precondition(const char* expr, const std::string& msg,
-                                     std::source_location loc);
+[[noreturn]] void throw_precondition(const std::string& msg);
 [[noreturn]] void throw_internal(const char* expr, const std::string& msg,
                                  std::source_location loc);
 
@@ -52,10 +54,7 @@ namespace detail {
 /// Validate a documented precondition of a public entry point.
 #define HMM_REQUIRE(expr, msg)                                      \
   do {                                                              \
-    if (!(expr)) {                                                  \
-      ::hmm::detail::throw_precondition(#expr, (msg),               \
-                                        std::source_location::current()); \
-    }                                                               \
+    if (!(expr)) ::hmm::detail::throw_precondition((msg));          \
   } while (false)
 
 /// Validate an internal invariant of the simulator.

@@ -219,7 +219,7 @@ class Engine {
   // resumes are irreducible), but verifies the freshly posted ops
   // against the slot in one fused pass and then applies the recorded
   // pricing directly — no batch build, no profile_batch, no
-  // service() — with byte-identical timing and traffic effects.  Replay
+  // service() — with byte-identical timing and memory effects.  Replay
   // only runs with no observer attached, so no event consumer exists.
   // Any deviation (different op, inadmissible address shift, lane
   // death, barrier) bails out to the ordinary scan path for that round
@@ -269,8 +269,6 @@ class Engine {
     std::vector<std::int64_t> deltas;  ///< per live lane; deltas[0] == 0
     std::vector<Op::Kind> kinds;       ///< per live lane (lane-0 verify uses
                                        ///< kinds[0] for every slot shape)
-    std::vector<std::int32_t> banks;   ///< banks of the DISTINCT addresses,
-                                       ///< rotated in place on shifts
   };
 
   struct WarpTracker {
@@ -414,7 +412,6 @@ class Engine {
   PatternCache* cache_ = nullptr;
   bool replay_enabled_ = false;
   std::vector<std::uint64_t> key_scratch_;  // canonical key, reused
-  std::vector<Address> addr_scratch_;       // distinct addrs at record
   std::vector<WarpTracker> trackers_;       // one per warp
   // Interconnect tallies (RunReport::link), bumped at the GLOBAL pipeline
   // inject sites.
@@ -540,16 +537,10 @@ void Engine::launch_threads() {
 }
 
 RunReport Engine::run() {
-  // Fresh counters (pipelines AND per-bank traffic); memory CONTENTS are
-  // owned by the Machine and persist across runs.
-  for (auto& port : machine_.shared_) {
-    port.pipeline.reset();
-    port.memory.reset_traffic();
-  }
-  if (machine_.global_) {
-    machine_.global_->pipeline.reset();
-    machine_.global_->memory.reset_traffic();
-  }
+  // Fresh pipeline counters; memory CONTENTS are owned by the Machine
+  // and persist across runs.
+  for (auto& port : machine_.shared_) port.pipeline.reset();
+  if (machine_.global_) machine_.global_->pipeline.reset();
 
   trace_ =
       machine_.observer_ != nullptr && machine_.observer_->wants_trace_events();
@@ -1173,7 +1164,6 @@ void Engine::advance_record(WarpTracker& t) {
   if (++t.recorded == t.period) {
     t.mode = WarpTracker::Mode::kReplay;
     t.pos = 0;
-    ++report_.fast_forward.patterns;
   }
 }
 
@@ -1224,19 +1214,6 @@ void Engine::record_memory_slot(WarpTracker& t, const WarpState& w,
                                                ? Op::Kind::kWrite
                                                : Op::Kind::kRead;
   }
-  // Banks of the distinct addresses — exactly what service() charges to
-  // bank_traffic.  Replay rotates these in place when it accepts a
-  // non-multiple-of-w shift (bank_of(a+c) = (bank_of(a)+c) mod w).
-  addr_scratch_.clear();
-  for (const Request& r : batch) addr_scratch_.push_back(r.address);
-  std::sort(addr_scratch_.begin(), addr_scratch_.end());
-  addr_scratch_.erase(std::unique(addr_scratch_.begin(), addr_scratch_.end()),
-                      addr_scratch_.end());
-  const std::int64_t wdt = static_cast<std::int64_t>(width_);
-  s.banks.clear();
-  for (const Address a : addr_scratch_) {
-    s.banks.push_back(static_cast<std::int32_t>(a % wdt));
-  }
   advance_record(t);
 }
 
@@ -1271,13 +1248,13 @@ void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
   const bool exclusive_fuse = w.exclusive && t.local_only;
   for (;;) {
     if (!try_replay_round(w, t)) {
-      // Lanes are resumed with fresh ops posted; classify them the
-      // ordinary way (the scan raises the usual diagnostics too).
-      if (w.live == 0) {
-        finish_warp(w);
-        return;
-      }
-      dispatch_scan(w);
+      // Lanes are resumed with fresh ops posted and none is flagged.  An
+      // exclusive block may have run ahead of the queue, and the round
+      // that broke it may touch shared state (a global access, a
+      // barrier), so it waits for its clock: at the next pop
+      // resume_flagged finds nothing to resume, and round() finishes the
+      // warp or classifies its ops by the scan.
+      requeue(w);
       return;
     }
     if (exclusive_fuse) continue;
@@ -1293,16 +1270,6 @@ void Engine::replay_rounds(WarpState& w, WarpTracker& t) {
   }
 }
 
-/// Service one round from the recorded pattern.  Every live lane's
-/// coroutine is still resumed (kernels consume delivered values — the
-/// resumes ARE the computation), but the freshly posted ops are checked
-/// against the slot in one fused pass and the recorded pricing is applied
-/// directly: no batch build, no profiling, no service().  Everything the
-/// slow path would have done to timing, memory and traffic happens
-/// here with identical values (returns true), or the round bails out and
-/// is re-serviced by the ordinary path (returns false; lanes stay
-/// resumed, their ops are intact).  The caller owns lane flags and
-/// requeueing.
 /// Resume lanes [k, nl) without verification.  Used once a round has
 /// already failed verification (or a lane died): the round is bailing
 /// to the slow path either way, but every live lane must still be
@@ -1324,6 +1291,15 @@ bool Engine::drain_resumes(ThreadState* base_ts, const std::int32_t* lanes,
   return died;
 }
 
+/// Service one round from the recorded pattern.  Every live lane's
+/// coroutine is still resumed (kernels consume delivered values — the
+/// resumes ARE the computation), but the freshly posted ops are checked
+/// against the slot in one fused pass and the recorded pricing is applied
+/// directly: no batch build, no profiling, no service().  Everything the
+/// slow path would have done to timing, memory and the link tallies
+/// happens here with identical values (returns true), or the round bails
+/// out to the ordinary path (returns false; lanes stay resumed, their
+/// ops are intact).  The caller owns lane flags and requeueing.
 bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
   PatternSlot& s = t.slots[static_cast<std::size_t>(t.pos)];
   const std::int32_t* lanes = live_lanes(w);
@@ -1444,18 +1420,9 @@ bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
       // Priced effects — the exact calls the slow path would make.
       const Cycle issue =
           exec_[static_cast<std::size_t>(w.dmm)].acquire(w.clock, 1);
-      const std::int32_t rot =
-          static_cast<std::int32_t>(((shift % wdt) + wdt) % wdt);
-      if (rot != 0) {
-        for (std::int32_t& b : s.banks) {
-          b += rot;
-          if (b >= wdt) b -= static_cast<std::int32_t>(wdt);
-        }
-      }
       s.base += shift;
       if (s.space == MemorySpace::kGlobal) note_link_traffic(w.dmm, s.nreq);
       const PipelineSlot ps = port.pipeline.inject(issue, s.stages, s.nreq);
-      for (const std::int32_t b : s.banks) mem.add_bank_traffic(b, 1);
       w.clock = ps.data_ready;
       break;
     }
@@ -1526,7 +1493,6 @@ bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
   if (died || fail >= 0) {
     bail_tracker(t);
     ++report_.fast_forward.bailouts;
-    w.uniform = UniformClass::kMixed;  // force the scan to classify
     return false;
   }
 

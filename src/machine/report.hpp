@@ -111,7 +111,6 @@ struct FastForwardStats {
   std::int64_t cache_hits = 0;      ///< profile_batch calls skipped
   std::int64_t cache_misses = 0;    ///< batches priced then memoized
   std::int64_t replayed_rounds = 0; ///< rounds serviced by verified replay
-  std::int64_t patterns = 0;        ///< periodic patterns recorded
   std::int64_t bailouts = 0;        ///< replays abandoned on verify failure
 };
 

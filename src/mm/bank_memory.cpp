@@ -8,8 +8,7 @@ namespace hmm {
 
 BankMemory::BankMemory(MemoryGeometry geometry, std::int64_t size)
     : geometry_(geometry),
-      cells_(checked_size(size, "bank memory"), Word{0}),
-      bank_traffic_(static_cast<std::size_t>(geometry.width()), 0) {}
+      cells_(checked_size(size, "bank memory"), Word{0}) {}
 
 Word BankMemory::peek(Address a) const {
   HMM_REQUIRE(a >= 0 && a < size(), "peek: address out of range");
@@ -58,7 +57,6 @@ void BankMemory::service(std::span<const Request> batch,
       Word& cell = cells_[static_cast<std::size_t>(r.address)];
       if (r.kind == AccessKind::kWrite) cell = r.value;
       values[i] = cell;
-      ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(r.address))];
     }
     return;
   }
@@ -97,22 +95,6 @@ void BankMemory::service_arbitrated(std::span<const Request> batch,
       values[i] = cells_[static_cast<std::size_t>(r.address)];
     }
   }
-
-  // Traffic: one count per distinct address, charged at its first request.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    bool first = true;
-    for (std::size_t j = 0; j < i && first; ++j) {
-      first = batch[j].address != batch[i].address;
-    }
-    if (first) {
-      ++bank_traffic_[static_cast<std::size_t>(
-          geometry_.bank_of(batch[i].address))];
-    }
-  }
-}
-
-void BankMemory::reset_traffic() {
-  std::fill(bank_traffic_.begin(), bank_traffic_.end(), 0);
 }
 
 }  // namespace hmm

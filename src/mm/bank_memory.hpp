@@ -1,9 +1,8 @@
 // Word-addressed banked storage behind a DMM or UMM pipeline.
 //
 // Functionally the memory is a flat array of words; the banked structure
-// only matters for timing (batch_cost) and for the per-bank traffic
-// statistics this class keeps, which the bank-conflict explorer example
-// and the ablation benches report.
+// matters only for timing, which batch_cost prices from the geometry
+// before a batch is served.
 //
 // Same-address semantics within one serviced batch (§II):
 //  * reads of one address by several threads are a broadcast — all get
@@ -20,8 +19,7 @@
 //    its own — no two requests touch one cell, so any order is the
 //    parallel step;
 //  * anything else: the §II arbitration, pairwise scans over the batch
-//    (linear on a broadcast read: no writes to scan, and each traffic
-//    scan stops at the first request).
+//    (linear on a broadcast read: there are no writes to scan).
 // Delivered values go to a span the caller owns, so no branch allocates.
 #pragma once
 
@@ -60,17 +58,9 @@ class BankMemory {
   /// delivers: the value read, or for a write the value that ended up
   /// stored.  Writes land after every read of the batch observed the
   /// pre-batch state, the highest lane winning per address.  Every
-  /// address is checked before any cell changes.  Also accumulates
-  /// per-bank traffic: one count per distinct address.
+  /// address is checked before any cell changes.
   void service(std::span<const Request> batch, std::int64_t distinct_addresses,
                std::span<Word> values);
-
-  /// Distinct-address accesses observed so far, per bank.
-  const std::vector<std::int64_t>& bank_traffic() const {
-    return bank_traffic_;
-  }
-
-  void reset_traffic();
 
   // Lean accessors for the engine's verified replay path.  They bypass
   // service()'s batch machinery but must reproduce its effects exactly;
@@ -83,10 +73,6 @@ class BankMemory {
   void replay_write(Address a, Word v) {
     cells_[static_cast<std::size_t>(a)] = v;
   }
-  /// One distinct-address access on bank `b` (same unit service() counts).
-  void add_bank_traffic(BankId b, std::int64_t count) {
-    bank_traffic_[static_cast<std::size_t>(b)] += count;
-  }
 
  private:
   /// The §II arbitration for batches with a repeated address.
@@ -95,7 +81,6 @@ class BankMemory {
 
   MemoryGeometry geometry_;
   std::vector<Word> cells_;
-  std::vector<std::int64_t> bank_traffic_;
 };
 
 }  // namespace hmm

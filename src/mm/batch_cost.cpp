@@ -100,7 +100,6 @@ BatchProfile profile_batch(const MemoryGeometry& geom,
       ++p.umm_stages;
     }
   }
-  p.touched_groups = p.umm_stages;
 
   HMM_ASSERT(p.dmm_stages <= p.umm_stages,
              "a batch can never conflict worse on the DMM than it "
@@ -148,7 +147,6 @@ BatchProfile profile_batch_reference(const MemoryGeometry& geom,
 
   groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
   p.umm_stages = static_cast<std::int64_t>(groups.size());
-  p.touched_groups = p.umm_stages;
 
   HMM_ASSERT(p.dmm_stages <= p.umm_stages,
              "a batch can never conflict worse on the DMM than it "

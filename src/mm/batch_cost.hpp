@@ -41,7 +41,6 @@ struct BatchProfile {
   std::int64_t umm_stages = 0;       ///< distinct address groups
   std::int64_t hottest_bank = -1;    ///< smallest bank achieving dmm_stages
   std::int64_t touched_banks = 0;    ///< banks with >= 1 distinct address
-  std::int64_t touched_groups = 0;   ///< == umm_stages (redundant, explicit)
 
   friend bool operator==(const BatchProfile&, const BatchProfile&) = default;
 };

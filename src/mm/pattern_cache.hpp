@@ -15,7 +15,7 @@
 //              touched_banks are preserved;
 //   * groups:  group_of(a + c·w) = group_of(a) + c    — the group ids
 //              shift uniformly, so the number of DISTINCT groups
-//              (umm_stages == touched_groups) is preserved;
+//              (umm_stages) is preserved;
 //   * distinct_addresses: translation is a bijection.
 //
 // The key is therefore (width, base mod w, address deltas in batch

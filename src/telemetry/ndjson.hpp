@@ -8,9 +8,9 @@
 //  * trace_event_json / trace_event_from_json — the (de)serialisation of
 //    a single TraceEvent, exact enough that a parsed event compares ==
 //    to the original (locked by tests/service_test.cpp);
-//  * NdjsonStreamSink — CallbackSink's wire-facing sibling: a trace sink
-//    that serialises each event and hands the finished NDJSON line to a
-//    writer callback, under a hard per-run event BUDGET.  Once the
+//  * NdjsonStreamSink — a trace sink that stores nothing: it serialises
+//    each event and hands the finished NDJSON line to a writer
+//    callback, under a hard per-run event BUDGET.  Once the
 //    budget is spent the sink stops serialising and only counts drops —
 //    the backpressure contract that keeps one chatty grid point from
 //    monopolising a client's socket (the service reports the counter in

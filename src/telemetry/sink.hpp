@@ -4,25 +4,22 @@
 // channel (machine/observer.hpp): attach one with
 // `machine.set_observer(&sink)` and it receives every TraceEvent of
 // every subsequent run, in the engine's deterministic emission order.
-// Three implementations cover the memory/latency trade-offs of
-// ROADMAP's "trace ring buffer / streaming sink" item:
+// Two implementations here trade memory for completeness:
 //
 //  * CollectingSink  — keeps everything; O(run length) memory.  The way
 //    to obtain a run's full trace (render_gantt, exact-event tests).
 //  * RingBufferSink  — bounded drop-oldest window; O(capacity) memory
 //    regardless of run length, with a dropped-event counter.  The
 //    production choice for long traced runs.
-//  * CallbackSink    — invokes a user callback per event and stores
-//    nothing; O(1) memory.  The building block for custom streaming
-//    (file writers, sockets, aggregation).
 //
-// Per-run semantics: sinks that store events (collecting, ring) reset at
-// on_run_begin, so they hold one run's trace.  Use CallbackSink to
-// accumulate across runs.  Sinks are not thread-safe;
-// attach each instance to one Machine at a time.
+// NdjsonStreamSink (telemetry/ndjson.hpp) streams each event as one
+// NDJSON line and stores nothing.
+//
+// Per-run semantics: both sinks here reset at on_run_begin, so they hold
+// one run's trace; events_seen() counts across runs.  Sinks are not
+// thread-safe; attach each instance to one Machine at a time.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/error.hpp"
@@ -130,25 +127,6 @@ class RingBufferSink final : public TelemetrySink {
   std::vector<TraceEvent> buffer_;
   std::size_t head_ = 0;  // index of the oldest kept event
   std::int64_t dropped_ = 0;
-};
-
-/// Streams every event into a user callback; stores nothing.  The
-/// callback runs inline in the engine loop: keep it cheap and never
-/// re-enter the Machine from it.
-class CallbackSink final : public TelemetrySink {
- public:
-  using Callback = std::function<void(const TraceEvent&)>;
-
-  explicit CallbackSink(Callback callback) : callback_(std::move(callback)) {
-    HMM_REQUIRE(static_cast<bool>(callback_),
-                "callback sink: callback must be callable");
-  }
-
- protected:
-  void consume(const TraceEvent& event) override { callback_(event); }
-
- private:
-  Callback callback_;
 };
 
 }  // namespace hmm::telemetry

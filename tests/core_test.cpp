@@ -122,15 +122,26 @@ TEST(Stats, GeometricMeanAndPercentile) {
   EXPECT_THROW(percentile(xs, 101), PreconditionError);
 }
 
-TEST(Errors, MessagesCarryLocationAndExpression) {
+TEST(Errors, InvariantMessagesCarryLocationAndExpression) {
   try {
-    HMM_REQUIRE(1 == 2, "impossible arithmetic");
+    HMM_ASSERT(1 == 2, "impossible arithmetic");
     FAIL() << "should have thrown";
-  } catch (const PreconditionError& e) {
+  } catch (const InternalError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("impossible arithmetic"), std::string::npos);
     EXPECT_NE(what.find("core_test.cpp"), std::string::npos);
+  }
+}
+
+// A precondition failure reaches users (tool output, service error
+// frames), so it says what is wrong and nothing about the source.
+TEST(Errors, PreconditionMessagesAreTheMessage) {
+  try {
+    HMM_REQUIRE(1 == 2, "impossible arithmetic");
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "impossible arithmetic");
   }
 }
 

@@ -129,13 +129,19 @@ TEST(Determinism, SweepForEachCoversEveryIndexExactlyOnce) {
 // The verified replay path (docs/PERF.md, "Analytic fast-forward") is an
 // engine STRATEGY, not a model change: with --fast-forward on or off,
 // every field RunReport::operator== compares — makespan, pipeline and
-// exec stats, barrier releases, metrics — and every trace event must
-// agree exactly.  Only FastForwardStats (excluded from equality by
-// design) may differ.
+// exec stats, barrier releases, metrics — every trace event and every
+// word the kernel computes must agree exactly.  Only FastForwardStats
+// (excluded from equality by design) may differ.
+
+/// One span-driver run: its report and the words the kernel computed.
+struct FfRun {
+  RunReport report;
+  std::vector<Word> output;
+};
 
 struct FfDriver {
   const char* name;
-  std::function<RunReport(bool ff, EngineObserver* observer)> run;
+  std::function<FfRun(bool ff, EngineObserver* observer)> run;
   std::int64_t dmms = 0;             ///< d of an hmm driver, 0 on umm
   std::int64_t threads_per_dmm = 0;  ///< its p/d
 };
@@ -154,80 +160,130 @@ std::vector<FfDriver> ff_drivers() {
   return {
       {"sum_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::sum_umm(xs, 256, 32, 100, obs, ff).report;
+         const auto r = alg::sum_umm(xs, 256, 32, 100, obs, ff);
+         return FfRun{r.report, {r.sum}};
        }},
       {"sum_hmm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::sum_hmm(xs, 4, 64, 32, 100, obs, ff).report;
+         const auto r = alg::sum_hmm(xs, 4, 64, 32, 100, obs, ff);
+         return FfRun{r.report, {r.sum}};
        },
        4, 64},
       {"prefix_sums_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::prefix_sums_umm(xs, 256, 32, 100, obs, ff).report;
+         const auto r = alg::prefix_sums_umm(xs, 256, 32, 100, obs, ff);
+         return FfRun{r.report, r.prefix};
        }},
       {"prefix_sums_hmm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::prefix_sums_hmm(xs, 4, 64, 32, 100, obs, ff).report;
+         const auto r = alg::prefix_sums_hmm(xs, 4, 64, 32, 100, obs, ff);
+         return FfRun{r.report, r.prefix};
        },
        4, 64},
       {"sort_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::sort_umm(keys, 128, 32, 100, obs, ff).report;
+         const auto r = alg::sort_umm(keys, 128, 32, 100, obs, ff);
+         return FfRun{r.report, r.sorted};
        }},
       {"sort_hmm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::sort_hmm(keys, 4, 32, 32, 100, obs, ff).report;
+         const auto r = alg::sort_hmm(keys, 4, 32, 32, 100, obs, ff);
+         return FfRun{r.report, r.sorted};
        },
        4, 32},
       {"convolution_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::convolution_umm(taps, sig, 256, 32, 100, obs, ff)
-             .report;
+         const auto r = alg::convolution_umm(taps, sig, 256, 32, 100, obs, ff);
+         return FfRun{r.report, r.z};
        }},
       {"convolution_hmm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::convolution_hmm(taps, sig, 4, 32, 32, 100, obs, ff)
-             .report;
+         const auto r =
+             alg::convolution_hmm(taps, sig, 4, 32, 32, 100, obs, ff);
+         return FfRun{r.report, r.z};
        },
        4, 32},
       {"matmul_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::matmul_umm(a, b, 16, 256, 32, 100, obs, ff).report;
+         const auto r = alg::matmul_umm(a, b, 16, 256, 32, 100, obs, ff);
+         return FfRun{r.report, r.c};
        }},
       {"matmul_hmm_tiled",
        [=](bool ff, EngineObserver* obs) {
-         return alg::matmul_hmm_tiled(a, b, 16, 4, 32, 32, 100, /*tile=*/8,
-                                      obs, ff)
-             .report;
+         const auto r = alg::matmul_hmm_tiled(a, b, 16, 4, 32, 32, 100,
+                                              /*tile=*/8, obs, ff);
+         return FfRun{r.report, r.c};
        },
        4, 32},
       {"string_match_umm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::string_match_umm(pattern, text, 128, 32, 100, obs, ff)
-             .report;
+         const auto r =
+             alg::string_match_umm(pattern, text, 128, 32, 100, obs, ff);
+         return FfRun{r.report, r.distance};
        }},
       {"string_match_hmm",
        [=](bool ff, EngineObserver* obs) {
-         return alg::string_match_hmm(pattern, text, 4, 32, 32, 100, obs, ff)
-             .report;
+         const auto r =
+             alg::string_match_hmm(pattern, text, 4, 32, 32, 100, obs, ff);
+         return FfRun{r.report, r.distance};
        },
        4, 32},
   };
 }
 
+// A replayed round that delivered a wrong value or lost a write would
+// show in the output words even where the report stayed equal.
 TEST(FastForwardEquivalence, EverySpanDriverMatchesWithReplayOff) {
   std::int64_t replayed_on = 0;
   for (const FfDriver& d : ff_drivers()) {
-    const RunReport on = d.run(true, nullptr);
-    const RunReport off = d.run(false, nullptr);
-    EXPECT_EQ(on, off) << d.name;
-    EXPECT_EQ(off.fast_forward.replayed_rounds, 0)
+    const FfRun on = d.run(true, nullptr);
+    const FfRun off = d.run(false, nullptr);
+    EXPECT_EQ(on.report, off.report) << d.name;
+    ASSERT_FALSE(on.output.empty()) << d.name;
+    EXPECT_EQ(on.output, off.output) << d.name;
+    EXPECT_EQ(off.report.fast_forward.replayed_rounds, 0)
         << d.name << ": off must not replay";
-    replayed_on += on.fast_forward.replayed_rounds;
+    replayed_on += on.report.fast_forward.replayed_rounds;
   }
   // The equivalence must not pass vacuously: at least some drivers
   // (periodic sums / scans / convolution) have to actually replay.
   EXPECT_GT(replayed_on, 0);
+}
+
+// An exclusive warp (the only warp of its DMM) replays its DMM-local
+// rounds in one fused block, ahead of the ready queue.  The round that
+// breaks the pattern — here DMM 0's global write after `inner` shared
+// reads — must still reach the shared global pipeline in clock order,
+// behind DMM 1's earlier global reads.
+TEST(FastForwardEquivalence, ExclusiveRunAheadKeepsGlobalRoundsInClockOrder) {
+  for (const auto& [l, inner] : {std::pair<Cycle, int>{5, 20},
+                                 {5, 200},
+                                 {20, 200},
+                                 {100, 200}}) {
+    const auto run = [l, inner](bool ff) {
+      Machine m = Machine::hmm(4, l, 2, 4, 64, 256);
+      m.set_fast_forward(ff);
+      return m.run([inner](ThreadCtx& t) -> SimTask {
+        if (t.dmm_id() == 0) {
+          for (int i = 0; i < inner; ++i) {
+            co_await t.read(MemorySpace::kShared, t.lane());
+          }
+          co_await t.write(MemorySpace::kGlobal, 100 + t.lane(), 1);
+        } else {
+          for (int i = 0; i < 6; ++i) {
+            co_await t.read(MemorySpace::kGlobal, 4 * i + t.lane());
+          }
+        }
+      });
+    };
+    const RunReport on = run(true);
+    const RunReport off = run(false);
+    EXPECT_GT(on.fast_forward.replayed_rounds, 0)
+        << "l=" << l << " inner=" << inner;
+    EXPECT_EQ(on, off) << "l=" << l << " inner=" << inner << ": makespan "
+                       << on.makespan << " with replay, " << off.makespan
+                       << " without";
+  }
 }
 
 // A trace sink turns replay off, but fast-forward still prices batches
@@ -320,16 +376,18 @@ TEST(Determinism, UniformOverlayChangesNothing) {
         const MachineOverlayScope scope(overlay);
         return d.run(ff, observer);
       };
-      const RunReport plain = run(nullptr, nullptr);
-      const RunReport overlaid = run(&uniform, nullptr);
-      EXPECT_EQ(plain, overlaid) << d.name << " ff=" << ff;
-      EXPECT_EQ(plain.fast_forward.replayed_rounds,
-                overlaid.fast_forward.replayed_rounds)
+      const FfRun plain = run(nullptr, nullptr);
+      const FfRun overlaid = run(&uniform, nullptr);
+      EXPECT_EQ(plain.report, overlaid.report) << d.name << " ff=" << ff;
+      EXPECT_EQ(plain.output, overlaid.output) << d.name << " ff=" << ff;
+      EXPECT_EQ(plain.report.fast_forward.replayed_rounds,
+                overlaid.report.fast_forward.replayed_rounds)
           << d.name << " ff=" << ff;
 
       telemetry::CollectingSink plain_sink;
       telemetry::CollectingSink overlaid_sink;
-      EXPECT_EQ(run(nullptr, &plain_sink), run(&uniform, &overlaid_sink))
+      EXPECT_EQ(run(nullptr, &plain_sink).report,
+                run(&uniform, &overlaid_sink).report)
           << d.name << " ff=" << ff;
       ASSERT_FALSE(plain_sink.events().empty()) << d.name;
       EXPECT_EQ(plain_sink.events(), overlaid_sink.events())

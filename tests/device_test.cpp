@@ -213,7 +213,7 @@ TEST(Trace, DisabledByDefault) {
   Machine m = Machine::dmm(4, 1, 4, 16);
   EXPECT_EQ(m.observer(), nullptr);
   const auto kernel = [](ThreadCtx& t) -> SimTask { co_await t.compute(); };
-  telemetry::CallbackSink sink([](const TraceEvent&) {});
+  telemetry::CollectingSink sink;
   m.set_observer(&sink);
   (void)m.run(kernel);
   const std::int64_t seen = sink.events_seen();

@@ -42,11 +42,6 @@ TEST(Integration, PipelineCountersResetBetweenRuns) {
   const auto r2 = m.run(kernel);
   EXPECT_EQ(r1.global_pipeline.batches, r2.global_pipeline.batches);
   EXPECT_EQ(r1.makespan, r2.makespan);
-  // Per-bank traffic counters are per-run too (unlike memory contents).
-  const auto traffic = m.global_memory().bank_traffic();
-  std::int64_t total = 0;
-  for (auto c : traffic) total += c;
-  EXPECT_EQ(total, 32);  // one distinct address per thread, latest run only
 }
 
 TEST(Integration, SortThenScanThenSumChain) {

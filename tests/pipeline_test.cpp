@@ -135,19 +135,6 @@ TEST(BankMemory, ReadsObservePreBatchState) {
   EXPECT_EQ(mem.peek(2), 99);
 }
 
-TEST(BankMemory, TrafficCountsDistinctAddressesPerBank) {
-  BankMemory mem(MemoryGeometry(4), 16);
-  (void)serve(mem, make_batch({
-      {.lane = 0, .kind = AccessKind::kRead, .address = 0, .value = 0},
-      {.lane = 1, .kind = AccessKind::kRead, .address = 0, .value = 0},
-      {.lane = 2, .kind = AccessKind::kRead, .address = 4, .value = 0},
-      {.lane = 3, .kind = AccessKind::kRead, .address = 5, .value = 0},
-  }));
-  EXPECT_EQ(mem.bank_traffic(), (std::vector<std::int64_t>{2, 1, 0, 0}));
-  mem.reset_traffic();
-  EXPECT_EQ(mem.bank_traffic(), (std::vector<std::int64_t>{0, 0, 0, 0}));
-}
-
 TEST(BankMemory, BoundsAreEnforced) {
   BankMemory mem(MemoryGeometry(4), 8);
   EXPECT_THROW(mem.peek(8), PreconditionError);
@@ -167,16 +154,13 @@ TEST(BankMemory, BoundsAreEnforced) {
                })),
                PreconditionError);
   EXPECT_EQ(mem.peek(1), 0);
-  EXPECT_EQ(mem.bank_traffic(), (std::vector<std::int64_t>{0, 0, 0, 0}));
 }
 
 /// The §II same-address rule, written as plainly as possible: every read
 /// sees pre-batch memory, per address the write of the highest lane wins,
-/// a write delivers what ended up stored, and each distinct address costs
-/// its bank one traffic count.
+/// and a write delivers what ended up stored.
 struct SectionTwoOracle {
   std::vector<Word> cells;
-  std::vector<std::int64_t> traffic;
 
   std::vector<Word> serve(const WarpBatch& batch) {
     const std::vector<Word> before = cells;
@@ -190,15 +174,9 @@ struct SectionTwoOracle {
       if (!superseded) cells[static_cast<std::size_t>(r.address)] = r.value;
     }
     std::vector<Word> values(batch.size());
-    std::set<Address> distinct;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const auto a = static_cast<std::size_t>(batch[i].address);
       values[i] = batch[i].kind == AccessKind::kRead ? before[a] : cells[a];
-      distinct.insert(batch[i].address);
-    }
-    const auto width = static_cast<Address>(traffic.size());
-    for (const Address a : distinct) {
-      ++traffic[static_cast<std::size_t>(a % width)];
     }
     return values;
   }
@@ -216,8 +194,7 @@ TEST(BankMemory, ServiceMatchesTheSectionTwoOracleOnEveryBatchClass) {
   constexpr std::int64_t kWidth = 8;
   constexpr std::int64_t kSize = 64;
   BankMemory mem(MemoryGeometry(kWidth), kSize);
-  SectionTwoOracle oracle{std::vector<Word>(kSize, 0),
-                          std::vector<std::int64_t>(kWidth, 0)};
+  SectionTwoOracle oracle{std::vector<Word>(kSize, 0)};
   Rng rng(1729);
 
   enum class Class { kDistinct, kBroadcastRead, kSameAddressWrites, kPartial };
@@ -268,7 +245,6 @@ TEST(BankMemory, ServiceMatchesTheSectionTwoOracleOnEveryBatchClass) {
     mem.service(batch, static_cast<std::int64_t>(distinct.size()), values);
     ASSERT_EQ(values, oracle.serve(batch)) << "round " << round;
     ASSERT_EQ(mem.dump(0, kSize), oracle.cells) << "round " << round;
-    ASSERT_EQ(mem.bank_traffic(), oracle.traffic) << "round " << round;
   }
 }
 

@@ -233,6 +233,17 @@ TEST(ServiceProtocol, RunRequestRejectsBadAxes) {
   EXPECT_THROW(service::request_from_json(json::parse(
                    R"({"type":"run","id":"x","algorithm":"sum","seed":-1})")),
                PreconditionError);
+  // The message goes to a remote client in an error frame: it says what
+  // is wrong and nothing about the server's source.
+  try {
+    service::request_from_json(json::parse(
+        R"({"type":"run","id":"x","algorithm":"sum","n":"abc"})"));
+    FAIL() << "a string axis was accepted";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("precondition failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
 }
 
 TEST(ServiceProtocol, ExpandGridIsRowMajor) {

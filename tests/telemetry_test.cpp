@@ -1,4 +1,4 @@
-// Telemetry subsystem: ring and callback sinks against the full stream a
+// Telemetry subsystem: the ring sink against the full stream a
 // CollectingSink keeps, observer fanout, and the metrics registry
 // cross-validated with the AccessChecker's certified cost histograms.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 namespace hmm {
 namespace {
 
-using telemetry::CallbackSink;
 using telemetry::CollectingSink;
 using telemetry::MetricsRegistry;
 using telemetry::ObserverFanout;
@@ -114,26 +113,6 @@ TEST(RingBufferSink, ResetsAtRunBegin) {
   EXPECT_EQ(first.report, second.report);
   EXPECT_EQ(sink.size(), first_size);          // per-run, not cumulative
   EXPECT_EQ(sink.events_in_order(), first_kept);
-}
-
-// ---------------------------------------------------------------------------
-// CallbackSink
-// ---------------------------------------------------------------------------
-
-TEST(CallbackSink, StreamsEveryEventInEmissionOrder) {
-  const auto xs = alg::random_words(64, 13);
-  std::vector<TraceEvent> streamed;
-  CallbackSink sink([&](const TraceEvent& e) { streamed.push_back(e); });
-  alg::sum_hmm(xs, 2, 8, 4, 20, &sink);
-
-  CollectingSink full;
-  alg::sum_hmm(xs, 2, 8, 4, 20, &full);
-  EXPECT_FALSE(streamed.empty());
-  EXPECT_EQ(streamed, full.events());
-}
-
-TEST(CallbackSink, RejectsEmptyCallback) {
-  EXPECT_THROW(CallbackSink(CallbackSink::Callback{}), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
