@@ -41,28 +41,38 @@ SubTask device_asm_band(ThreadCtx& t, MemorySpace space, Address pat,
       co_await t.write(space, table + i * cols, i);
     }
   }
-  co_await t.barrier(scope);
 
-  // Wavefront: cells (i, j) with i + j = diag are independent.
-  for (std::int64_t diag = 2; diag <= m + text_len; ++diag) {
+  // Wavefront: cells (i, j) with i + j = diag are independent, and every
+  // thread meets the others at the borders' barrier and after each of
+  // the diagonals 2 .. m + text_len.  Diagonal diag holds
+  // min(diag - 1, m, text_len, m + text_len + 1 - diag) cells, so thread
+  // `self` holds one exactly on diagonals [self + 2, m + text_len - self]
+  // when self < min(m, text_len), and on none otherwise; the barriers it
+  // meets with nothing to do in between are one counted barrier.
+  if (self == kNoWorker || self >= std::min(m, text_len)) {
+    co_await t.barrier(scope, m + text_len);
+    co_return;
+  }
+  const std::int64_t last = m + text_len - self;
+  co_await t.barrier(scope, 1 + self);  // borders + `self` leading diagonals
+  for (std::int64_t diag = self + 2; diag <= last; ++diag) {
     const std::int64_t lo = std::max<std::int64_t>(1, diag - text_len);
     const std::int64_t hi = std::min<std::int64_t>(m, diag - 1);
-    if (self != kNoWorker) {
-      for (std::int64_t i = lo + self; i <= hi; i += workers) {
-        const std::int64_t j = diag - i;
-        const Word pc = co_await t.read(space, pat + i - 1);
-        const Word tc = co_await t.read(space, txt + j - 1);
-        const Word up_left =
-            co_await t.read(space, table + (i - 1) * cols + j - 1);
-        const Word up = co_await t.read(space, table + (i - 1) * cols + j);
-        const Word left = co_await t.read(space, table + i * cols + j - 1);
-        co_await t.compute();  // the three-way min + mismatch test
-        const Word best = std::min({up_left + (pc != tc ? 1 : 0), up + 1,
-                                    left + 1});
-        co_await t.write(space, table + i * cols + j, best);
-      }
+    for (std::int64_t i = lo + self; i <= hi; i += workers) {
+      const std::int64_t j = diag - i;
+      const Word pc = co_await t.read(space, pat + i - 1);
+      const Word tc = co_await t.read(space, txt + j - 1);
+      const Word up_left =
+          co_await t.read(space, table + (i - 1) * cols + j - 1);
+      const Word up = co_await t.read(space, table + (i - 1) * cols + j);
+      const Word left = co_await t.read(space, table + i * cols + j - 1);
+      co_await t.compute();  // the three-way min + mismatch test
+      const Word best = std::min({up_left + (pc != tc ? 1 : 0), up + 1,
+                                  left + 1});
+      co_await t.write(space, table + i * cols + j, best);
     }
-    co_await t.barrier(scope);
+    // The last diagonal's barrier and the `self` trailing ones.
+    co_await t.barrier(scope, diag == last ? 1 + self : 1);
   }
 }
 

@@ -362,7 +362,12 @@ void AccessChecker::on_memory_batch(const MemoryBatchEvent& event) {
 
     // (c) Two lanes of one dispatch writing the same address.  Flag the
     // first colliding pair per address (the earliest write "owns" it).
-    for (std::size_t i = 0; i < event.batch.size(); ++i) {
+    // A batch whose addresses are all distinct cannot collide.
+    const bool may_collide =
+        event.profile == nullptr ||
+        event.profile->distinct_addresses !=
+            static_cast<std::int64_t>(event.batch.size());
+    for (std::size_t i = 0; may_collide && i < event.batch.size(); ++i) {
       const Request& a = event.batch[i];
       if (a.kind != AccessKind::kWrite) continue;
       bool first_writer = true;

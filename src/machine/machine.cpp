@@ -35,6 +35,9 @@ MachineOverlayScope::~MachineOverlayScope() { t_overlay = saved_; }
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
       topology_(config_.width, thread_counts(config_.dmms)) {
+  // ThreadCtx keeps its ids in 32 bits (machine/thread_ctx.hpp).
+  HMM_REQUIRE(topology_.total_threads() <= INT32_MAX,
+              "a machine holds at most 2^31 - 1 threads");
   const bool has_shared = config_.dmms.front().shared.has_value();
   HMM_REQUIRE(has_shared || config_.global.has_value(),
               "a machine needs at least one memory");
@@ -153,6 +156,9 @@ class Engine {
     bool done = false;
     bool need_resume = true;  // member of the warp's flagged-lane list
   };
+  // One per simulated thread, 48,128 of them on the modern-sm preset:
+  // its size bounds the peak memory of the sweeps that run those.
+  static_assert(sizeof(ThreadState) <= 80);
 
   /// Operation class of a whole warp after a resume batch, computed by
   /// resume_flagged while the freshly posted ops are hot in cache.
@@ -181,8 +187,16 @@ class Engine {
     std::int64_t flagged = 0;
     UniformClass uniform = UniformClass::kMixed;
     MemorySpace uniform_space = MemorySpace::kShared;  // when kMemory
-    BarrierScope uniform_scope = BarrierScope::kDmm;   // when kBarrier
+    // When kBarrier; while `waiting`, the scope of the barrier.
+    BarrierScope uniform_scope = BarrierScope::kDmm;
     Cycle uniform_cycles = 0;  // SIMD max over the batch, when kCompute
+    // A barrier round: the smallest and largest count its live lanes
+    // posted (ThreadCtx::barrier), set by the round's classification.
+    std::int64_t wait_min = 0;
+    std::int64_t wait_max = 0;
+    // Releases the parked warp has seen; it stays parked while
+    // `released < wait_min`.
+    std::int64_t released = 0;
     bool waiting = false;   // parked at an unreleased barrier
     bool finished = false;
     // Static: the only warp of its DMM (fused replay's exclusive regime).
@@ -307,9 +321,11 @@ class Engine {
   void memory_round(WarpState& w, MemorySpace space);
   void compute_round(WarpState& w);
   void barrier_round(WarpState& w, BarrierScope scope);
+  void arrive(WarpState& w);
   void finish_warp(WarpState& w);
   void release_if_complete(BarrierDomain& domain);
   void release(BarrierDomain& domain);
+  void wake(WarpState& w);
   void check_no_deadlock() const;
 
   // Fast-forward machinery (definitions near try_replay_round below).
@@ -392,6 +408,9 @@ class Engine {
   std::vector<ExecUnit> exec_;
   std::vector<BarrierDomain> dmm_domains_;
   BarrierDomain machine_domain_;
+  // Read by every ThreadCtx (one per DMM); sized before the first kernel
+  // launch and never reallocated during the run.
+  std::vector<ThreadCtx::DmmIdentity> dmm_identities_;
   ReadyQueue queue_;
   // Scratch reused by every memory/compute round: capacity is bounded by
   // the warp width, so after launch the hot path allocates nothing.
@@ -431,10 +450,13 @@ namespace {
 // Fingerprints feeding the periodicity detector.  Distinct tag words keep
 // the three replayable round classes from colliding structurally; memory
 // rounds fold in the translation-invariant shape hash (see
-// mm/pattern_cache.hpp) so a striding loop fingerprints as periodic.
-inline std::uint64_t fp_memory_round(MemorySpace space, std::uint64_t shape) {
-  const std::uint64_t words[2] = {0x100u + static_cast<std::uint64_t>(space),
-                                  shape};
+// mm/pattern_cache.hpp) so a striding loop fingerprints as periodic, and
+// the phase of the round's first address that replay's shift rule must
+// preserve (see memory_round).
+inline std::uint64_t fp_memory_round(MemorySpace space, std::uint64_t shape,
+                                     std::uint64_t phase) {
+  const std::uint64_t words[3] = {0x100u + static_cast<std::uint64_t>(space),
+                                  shape, phase};
   return fnv1a64_words(words);
 }
 
@@ -469,21 +491,23 @@ void Engine::launch_threads() {
   threads_.resize(static_cast<std::size_t>(p));
 
   // Fill thread identities first: coroutine frames hold references into
-  // threads_, which must never reallocate after the first kernel launch.
+  // threads_ and dmm_identities_, which must never reallocate after the
+  // first kernel launch.  Machine's constructor bounds p below 2^31.
+  dmm_identities_.resize(static_cast<std::size_t>(topo.num_dmms()));
   for (DmmId j = 0; j < topo.num_dmms(); ++j) {
+    ThreadCtx::DmmIdentity& id = dmm_identities_[static_cast<std::size_t>(j)];
+    id.dmm = j;
+    id.first_warp = topo.first_warp(j);
+    id.width = topo.width();
+    id.num_dmms = topo.num_dmms();
+    id.num_threads = p;
+    id.dmm_threads = topo.threads_on(j);
     const ThreadId base = topo.first_thread(j);
-    const WarpId wbase = topo.first_warp(j);
     for (std::int64_t i = 0; i < topo.threads_on(j); ++i) {
       ThreadCtx& c = thread(base + i).ctx;
-      c.thread_id_ = base + i;
-      c.local_id_ = i;
-      c.dmm_ = j;
-      c.warp_ = wbase + i / topo.width();
-      c.lane_ = i % topo.width();
-      c.width_ = topo.width();
-      c.num_dmms_ = topo.num_dmms();
-      c.num_threads_ = p;
-      c.dmm_threads_ = topo.threads_on(j);
+      c.thread_id_ = static_cast<std::int32_t>(base + i);
+      c.local_id_ = static_cast<std::int32_t>(i);
+      c.dmm_ = &id;
     }
   }
   for (ThreadId t = 0; t < p; ++t) {
@@ -710,12 +734,17 @@ void Engine::resume_flagged(WarpState& w) {
       w.uniform_space = op.space;
       w.uniform_scope = op.scope;
       w.uniform_cycles = op.cycles;
+      w.wait_min = op.cycles;
+      w.wait_max = op.cycles;
     } else if (cls != uniform ||
                (cls == UniformClass::kMemory && op.space != w.uniform_space) ||
                (cls == UniformClass::kBarrier && op.scope != w.uniform_scope)) {
       uniform_valid = false;  // divergent: round() falls back to the scan
     } else if (cls == UniformClass::kCompute) {
       w.uniform_cycles = std::max(w.uniform_cycles, op.cycles);
+    } else if (cls == UniformClass::kBarrier) {
+      w.wait_min = std::min(w.wait_min, op.cycles);
+      w.wait_max = std::max(w.wait_max, op.cycles);
     }
   }
   // Dead lanes posted nothing; uniformity is over the survivors.
@@ -733,6 +762,12 @@ void Engine::resume_flagged(WarpState& w) {
 }
 
 void Engine::round(WarpState& w) {
+  if (w.waiting) {
+    // Every live lane still waits out a counted barrier: the warp takes
+    // the turn the per-barrier form's round would, with no lane resumed.
+    arrive(w);
+    return;
+  }
   if (replay_enabled_) {
     WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
     if (t.mode == WarpTracker::Mode::kReplay) {
@@ -799,6 +834,7 @@ void Engine::dispatch_scan(WarpState& w) {
   std::int64_t warp_syncs = 0;
   BarrierScope scope = BarrierScope::kDmm;
   bool scope_set = false;
+  std::int64_t wait_min = INT64_MAX, wait_max = 0;  // barrier counts
   const std::int32_t* live = live_lanes(w);
   for (std::int64_t k = 0; k < w.live; ++k) {
     const ThreadState& ts = thread(w.first + live[k]);
@@ -820,6 +856,8 @@ void Engine::dispatch_scan(WarpState& w) {
         scope = op.scope;
         scope_set = true;
         has_barrier = true;
+        wait_min = std::min(wait_min, op.cycles);
+        wait_max = std::max(wait_max, op.cycles);
         break;
       case Op::Kind::kWarpSync:
         ++warp_syncs;
@@ -844,6 +882,8 @@ void Engine::dispatch_scan(WarpState& w) {
                 "threads of one warp are split between barrier() and "
                 "warp_sync() — they can never reconverge");
     HMM_ASSERT(has_barrier, "warp round with no classified operation");
+    w.wait_min = wait_min;
+    w.wait_max = wait_max;
     barrier_round(w, scope);
   }
 }
@@ -962,7 +1002,16 @@ void Engine::memory_round(WarpState& w, MemorySpace space) {
   // can assume full participation.
   if (replay_enabled_ && w.uniform == UniformClass::kMemory) {
     WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
-    if (observe_fp(t, fp_memory_round(space, shape_fp))) {
+    // try_replay_round shifts a UMM-priced, non-broadcast slot only by
+    // multiples of w, so two such rounds repeat only when their first
+    // addresses agree mod w.  Without the phase a copy loop stepping by
+    // 4 words looks periodic, fails every replay attempt and spends the
+    // warp's bailout budget before the phase that does repeat.
+    const std::uint64_t phase =
+        port.dmm_pricing || profile.distinct_addresses == 1
+            ? 0
+            : static_cast<std::uint64_t>(batch.front().address) % width_;
+    if (observe_fp(t, fp_memory_round(space, shape_fp, phase))) {
       record_memory_slot(t, w, space, batch, profile, stages,
                          port.dmm_pricing);
     }
@@ -1026,10 +1075,16 @@ void Engine::barrier_round(WarpState& w, BarrierScope scope) {
   // A barrier ends any periodic phase: release times couple this warp to
   // the rest of its domain, which replay must never shortcut.
   if (replay_enabled_) trackers_[static_cast<std::size_t>(w.id)].reset();
-  BarrierDomain& domain = scope == BarrierScope::kDmm
+  w.uniform_scope = scope;
+  w.released = 0;
+  w.waiting = true;  // parked: not requeued until released
+  arrive(w);
+}
+
+void Engine::arrive(WarpState& w) {
+  BarrierDomain& domain = w.uniform_scope == BarrierScope::kDmm
                               ? dmm_domains_[static_cast<std::size_t>(w.dmm)]
                               : machine_domain_;
-  w.waiting = true;  // parked: not requeued until released
   domain.arrived.push_back(w.id);
   domain.max_arrival = std::max(domain.max_arrival, w.clock);
   release_if_complete(domain);
@@ -1078,12 +1133,13 @@ void Engine::release(BarrierDomain& domain) {
   for (WarpId wid : domain.arrived) {
     WarpState& w = warps_[static_cast<std::size_t>(wid)];
     HMM_ASSERT(w.waiting, "released a warp that was not parked");
-    w.waiting = false;
     w.clock = t;
-    // Every live lane of a parked warp is at the barrier: barrier_round
-    // only runs once the priority classification has exhausted every
-    // other operation kind, so the whole live list gets flagged.
-    flag_all_live(w);
+    // A warp whose every live lane still waits out a counted barrier
+    // stays parked; round() re-arrives it when its turn comes.
+    if (++w.released >= w.wait_min) {
+      w.waiting = false;
+      wake(w);
+    }
     requeue(w);
     if (trace_) {
       machine_.observer_->on_trace_event(TraceEvent{
@@ -1098,6 +1154,30 @@ void Engine::release(BarrierDomain& domain) {
   }
   domain.arrived.clear();
   domain.max_arrival = 0;
+}
+
+/// Flag the lanes of a released warp whose counted barrier ran out.
+/// Every live lane of a parked warp is at the barrier: barrier_round only
+/// runs once the priority classification has exhausted every other
+/// operation kind.
+void Engine::wake(WarpState& w) {
+  if (w.wait_max == w.released) {
+    flag_all_live(w);
+    return;
+  }
+  // Only the lanes whose count ran out resume; the others keep their
+  // barrier op pending with the count reduced, so the next round is the
+  // mixed round the per-barrier form makes.
+  const std::int32_t* live = live_lanes(w);
+  for (std::int64_t k = 0; k < w.live; ++k) {
+    Op& op = thread(w.first + live[k]).ctx.pending_;
+    HMM_ASSERT(op.kind == Op::Kind::kBarrier, "parked lane not at a barrier");
+    if (op.cycles == w.released) {
+      flag_lane(w, live[k]);
+    } else {
+      op.cycles -= w.released;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1329,7 +1409,10 @@ bool Engine::try_replay_round(WarpState& w, WarpTracker& t) {
         } else {
           const Op& op = ts.ctx.pending_;
           shift = op.address - s.base;
-          if (!(shift == 0 || s.broadcast || s.any_shift ||
+          // A lane that finished since the slot was recorded leaves a
+          // smaller batch than the recorded price.
+          if (nl != s.nreq ||
+              !(shift == 0 || s.broadcast || s.any_shift ||
                 shift % wdt == 0) ||
               s.base + shift + s.min_delta < 0 ||
               s.base + shift + s.max_delta >= mem.size() ||

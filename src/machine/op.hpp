@@ -20,23 +20,24 @@ enum class BarrierScope : std::uint8_t {
   kMachine,  ///< all live warps of the whole machine
 };
 
-/// One suspended operation.
+/// One suspended operation.  The three one-byte fields lead, so an Op
+/// is 32 bytes: one sits in every simulated thread's state.
 struct Op {
   enum class Kind : std::uint8_t {
     kNone,      ///< no operation pending (engine-internal resting state)
     kRead,      ///< read one word
     kWrite,     ///< write one word
     kCompute,   ///< local RAM work of `cycles` time units
-    kBarrier,   ///< wait for the barrier of `scope`
+    kBarrier,   ///< wait out `cycles` releases of the barrier of `scope`
     kWarpSync,  ///< reconverge the lanes of this warp (free)
   };
 
   Kind kind = Kind::kNone;
   MemorySpace space = MemorySpace::kShared;  // for kRead/kWrite
+  BarrierScope scope = BarrierScope::kDmm;   // for kBarrier
   Address address = 0;                       // for kRead/kWrite
   Word value = 0;                            // for kWrite
-  Cycle cycles = 0;                          // for kCompute
-  BarrierScope scope = BarrierScope::kDmm;   // for kBarrier
+  Cycle cycles = 0;  // for kCompute; for kBarrier, the releases left
 };
 
 }  // namespace hmm

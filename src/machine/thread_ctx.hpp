@@ -36,15 +36,19 @@ class ThreadCtx {
   // ---- identity --------------------------------------------------------
   ThreadId thread_id() const { return thread_id_; }     ///< machine-wide id
   ThreadId local_thread_id() const { return local_id_; }///< id within DMM
-  DmmId dmm_id() const { return dmm_; }
-  WarpId warp_id() const { return warp_; }              ///< machine-wide
-  std::int64_t lane() const { return lane_; }           ///< id within warp
+  DmmId dmm_id() const { return dmm_->dmm; }
+  WarpId warp_id() const {                              ///< machine-wide
+    return dmm_->first_warp + local_id_ / dmm_->width;
+  }
+  std::int64_t lane() const { return local_id_ % dmm_->width; } ///< in warp
 
   // ---- machine shape ---------------------------------------------------
-  std::int64_t width() const { return width_; }
-  std::int64_t num_dmms() const { return num_dmms_; }
-  std::int64_t num_threads() const { return num_threads_; }      ///< total p
-  std::int64_t dmm_thread_count() const { return dmm_threads_; } ///< this DMM
+  std::int64_t width() const { return dmm_->width; }
+  std::int64_t num_dmms() const { return dmm_->num_dmms; }
+  std::int64_t num_threads() const { return dmm_->num_threads; } ///< total p
+  std::int64_t dmm_thread_count() const {                        ///< this DMM
+    return dmm_->dmm_threads;
+  }
 
   // ---- operations (all must be co_awaited) -----------------------------
   struct WordAwaiter {
@@ -68,9 +72,9 @@ class ThreadCtx {
   // kind; the rest keep whatever the previous op left there.  No
   // consumer looks at them (pricing fingerprints hash addresses and
   // access kinds, service() reads `value` for writes only, `cycles` is
-  // read for computes only, `scope` for barriers only), and posting
-  // three words instead of copying a zeroed Op keeps the resume path —
-  // the engine's hottest loop — short.
+  // read for computes and barriers only, `scope` for barriers only), and
+  // posting three words instead of copying a zeroed Op keeps the resume
+  // path — the engine's hottest loop — short.
 
   /// Read one word; resumes with the value once the access completes.
   WordAwaiter read(MemorySpace space, Address address) {
@@ -100,11 +104,19 @@ class ThreadCtx {
     return VoidAwaiter{this};
   }
 
-  /// Synchronise with every live warp of the scope.
-  VoidAwaiter barrier(BarrierScope scope = BarrierScope::kDmm) {
+  /// Synchronise with every live warp of the scope, `count` times:
+  /// exactly `count` consecutive barrier(scope) calls with nothing
+  /// between them, in one operation.  The thread resumes at the
+  /// count-th release of its domain; the lanes of one warp may wait out
+  /// different counts.  Timing, results and observer events are those
+  /// of the `count` separate calls.
+  VoidAwaiter barrier(BarrierScope scope = BarrierScope::kDmm,
+                      std::int64_t count = 1) {
+    HMM_REQUIRE(count >= 1, "barrier: count must be >= 1");
     check_idle();
     pending_.kind = Op::Kind::kBarrier;
     pending_.scope = scope;
+    pending_.cycles = count;
     return VoidAwaiter{this};
   }
 
@@ -131,16 +143,22 @@ class ThreadCtx {
                 "previous one");
   }
 
-  // identity (set by the engine at launch)
-  ThreadId thread_id_ = 0;
-  ThreadId local_id_ = 0;
-  DmmId dmm_ = 0;
-  WarpId warp_ = 0;
-  std::int64_t lane_ = 0;
-  std::int64_t width_ = 0;
-  std::int64_t num_dmms_ = 0;
-  std::int64_t num_threads_ = 0;
-  std::int64_t dmm_threads_ = 0;
+  /// What every thread of one DMM shares.  The engine owns one per DMM
+  /// for the run, so a thread's identity is two ids and a pointer: the
+  /// 48,128-thread machine presets hold one ThreadCtx per thread.
+  struct DmmIdentity {
+    DmmId dmm = 0;
+    WarpId first_warp = 0;
+    std::int64_t width = 0;
+    std::int64_t num_dmms = 0;
+    std::int64_t num_threads = 0;
+    std::int64_t dmm_threads = 0;
+  };
+
+  // identity (set by the engine at launch; a machine has < 2^31 threads)
+  std::int32_t thread_id_ = 0;
+  std::int32_t local_id_ = 0;
+  const DmmIdentity* dmm_ = nullptr;
 
   // engine <-> thread mailbox
   Op pending_;

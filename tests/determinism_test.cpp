@@ -286,6 +286,48 @@ TEST(FastForwardEquivalence, ExclusiveRunAheadKeepsGlobalRoundsInClockOrder) {
   }
 }
 
+// A lane that finishes while its warp's tracker records a pattern
+// leaves memory slots priced for more lanes than remain.  Each lane reads
+// shared lane*4 (a 4-way conflict) and computes twice per iteration;
+// lanes >= 1 exit at iteration 3.
+TEST(FastForwardEquivalence, LaneExitWhileRecordingIsExact) {
+  const auto run = [](bool ff) {
+    Machine m = Machine::dmm(4, 1, 4, 256);
+    m.set_fast_forward(ff);
+    return m.run([](ThreadCtx& t) -> SimTask {
+      for (int i = 0; i < 8; ++i) {
+        co_await t.read(MemorySpace::kShared, t.lane() * 4);
+        if (i == 3 && t.lane() >= 1) co_return;
+        co_await t.compute(1);
+        co_await t.compute(1);
+      }
+    });
+  };
+  const RunReport on = run(true);
+  const RunReport off = run(false);
+  EXPECT_EQ(off.makespan, 36);
+  EXPECT_EQ(off.shared_pipelines[0].stages, 20);
+  EXPECT_EQ(off.shared_pipelines[0].requests, 20);
+  EXPECT_EQ(on, off) << "makespan " << on.makespan << " with replay, "
+                     << off.makespan << " without";
+}
+
+// On a 32-wide warp the convolution's 4-thread DMMs stage their input in
+// with a first address that steps by 4 words, which replay may shift
+// only by multiples of w.  Taking that copy for a period-2 pattern spent
+// every warp's bailout budget and switched replay off before the
+// convolution phase, which does repeat.
+TEST(FastForwardEquivalence, StridedStageInLeavesTheConvolutionReplayable) {
+  const auto taps = alg::random_words(32, 23);
+  const auto sig = alg::random_words(alg::conv_signal_length(32, 1024), 43);
+  const auto on = alg::convolution_hmm(taps, sig, 8, 4, 32, 100, nullptr, true);
+  const auto off =
+      alg::convolution_hmm(taps, sig, 8, 4, 32, 100, nullptr, false);
+  EXPECT_GE(on.report.fast_forward.replayed_rounds, 10000);
+  EXPECT_EQ(on.report, off.report);
+  EXPECT_EQ(on.z, off.z);
+}
+
 // A trace sink turns replay off, but fast-forward still prices batches
 // from the pattern cache: cache-priced and freshly profiled runs must
 // emit the same events.
